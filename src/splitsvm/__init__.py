@@ -4,6 +4,7 @@ from .admm import (
     AdmmConfig,
     AdmmState,
     IterationTrace,
+    RhoCondition,
     TraceRecord,
     admm_run,
     admm_step,
@@ -46,6 +47,7 @@ from .model import (
     decision_values,
     load_model,
     predict_labels,
+    rho_condition,
     rkhs_norm_sq,
     save_model,
     train_multistart,

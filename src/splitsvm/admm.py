@@ -19,7 +19,8 @@ One iteration performs
   3. multiplier update: gamma = 2 lam c, the closed form the exact c update
      implies for an invertible A.
 
-The loop stops when ||alpha - A c||_2 < eps0.  When rho exceeds the
+The loop stops when ||alpha - A c||_2 < eps0, or as "diverged" when the
+objective or residual is no longer finite.  When rho exceeds the
 threshold 4 lam / lambda_min(A) the augmented Lagrangian is guaranteed to
 decrease every iteration, and the iterates are bounded; both facts are
 monitored as diagnostics rather than assumed.
@@ -78,6 +79,23 @@ class AdmmState:
     c: np.ndarray
     gamma: np.ndarray
     k: int
+    #: A @ c, carried so each iteration forms it once; None means "not known".
+    ac: np.ndarray | None = None
+
+
+@dataclass(frozen=True)
+class RhoCondition:
+    """Verdict on rho > 4 lam / lambda_min(A): "satisfied", "NOT satisfied",
+    "not verifiable" (``detail`` says why) or "not checked" (policy "off")."""
+
+    status: str
+    lambda_min: float | None = None
+    threshold: float | None = None
+    detail: str = ""
+
+    @property
+    def ok(self) -> bool:
+        return self.status == "satisfied"
 
 
 @dataclass(frozen=True)
@@ -129,13 +147,14 @@ class AdmmRunResult:
     state: AdmmState
     coeffs: np.ndarray
     trace: IterationTrace
-    status: str  # "converged" | "max_iter"
+    status: str  # "converged" | "max_iter" | "diverged"
 
 
 def initial_state(A: GramMatrix, cfg: AdmmConfig, rng: np.random.Generator) -> AdmmState:
     """Random start: c ~ Uniform[-10, 10]^n with alpha and gamma consistent."""
     c0 = rng.uniform(-10.0, 10.0, A.size)
-    return AdmmState(alpha=A.entries @ c0, c=c0, gamma=2.0 * cfg.lam * c0, k=0)
+    ac = A.entries @ c0
+    return AdmmState(alpha=ac, c=c0, gamma=2.0 * cfg.lam * c0, k=0, ac=ac)
 
 
 def _risk(loss, labels, t) -> float:
@@ -167,22 +186,41 @@ def objective_value(loss, labels, A: GramMatrix, cfg: AdmmConfig, c) -> float:
 
 
 def admm_step(loss: MarginLoss, labels, A: GramMatrix, cfg: AdmmConfig, st: AdmmState) -> AdmmState:
-    """One full iteration (alpha, c, gamma); the input state is not modified."""
+    """One full iteration (alpha, c, gamma); the input state is not modified.
+
+    Uses ``st.ac`` as A c when it is set and returns the new state with
+    ``ac = A @ c``, so a loop of steps forms that product once per iteration.
+    Warns when the c-solve stops at its iteration cap.
+    """
     labels = np.asarray(labels, dtype=float)
     n = A.size
     if labels.shape != (n,):
         raise InputError("labels must match the kernel matrix size")
-    anchors = A.entries @ st.c - st.gamma / cfg.rho
+    m = A.entries
+    ac = st.ac if st.ac is not None else m @ st.c
+    anchors = ac - st.gamma / cfg.rho
     alpha = prox_vector(loss, cfg.rho, n, labels, anchors)
     b = cfg.rho * alpha + st.gamma
-    m = A.entries
 
     def op(w):
         return 2.0 * cfg.lam * w + cfg.rho * (m @ w)
 
     sol = cg_solve(op, b, st.c, tol=cfg.cg_tol, max_iter=max(4 * n, 16))
+    if not sol.converged:
+        warnings.warn(f"c-solve did not converge at iteration {st.k + 1}: residual "
+                      f"{sol.residual_norm:.3e} after {sol.iters} CG iterations",
+                      RuntimeWarning, stacklevel=2)
     c = sol.x
-    return AdmmState(alpha=alpha, c=c, gamma=2.0 * cfg.lam * c, k=st.k + 1)
+    return AdmmState(alpha=alpha, c=c, gamma=2.0 * cfg.lam * c, k=st.k + 1, ac=m @ c)
+
+
+def _psd_form(q: float) -> float:
+    """A quadratic form d^T A d of a PSD matrix, with rounding below 0 clamped."""
+    if q < -1e-12:
+        raise DefinitenessError(
+            f"kernel matrix quadratic form is negative ({q:.3e}); matrix is not PSD"
+        )
+    return max(q, 0.0)
 
 
 def rkhs_step_norm(A: GramMatrix, c_new, c_old) -> float:
@@ -192,12 +230,7 @@ def rkhs_step_norm(A: GramMatrix, c_new, c_old) -> float:
     for c_new and c_old is (c_new - c_old)^T A (c_new - c_old).
     """
     d = np.asarray(c_new, dtype=float) - np.asarray(c_old, dtype=float)
-    q = float(d @ (A.entries @ d))
-    if q < -1e-12:
-        raise DefinitenessError(
-            f"kernel matrix quadratic form is negative ({q:.3e}); matrix is not PSD"
-        )
-    return float(np.sqrt(max(q, 0.0)))
+    return float(np.sqrt(_psd_form(float(d @ (A.entries @ d)))))
 
 
 def check_rho_condition(cfg: AdmmConfig, lambda_min: float):
@@ -228,47 +261,36 @@ def admm_run(
     A: GramMatrix,
     cfg: AdmmConfig,
     init: AdmmState,
-    lambda_min: float | None = None,
+    rho_check: RhoCondition | None = None,
 ) -> AdmmRunResult:
     """Iterate from ``init`` until ||alpha - A c|| < eps0 or the cap.
 
-    ``lambda_min`` is the smallest eigenvalue of A when the caller knows it;
-    it gates the rho-condition policy and the monotone-descent diagnostic
-    (both are skipped when the eigenvalue is unknown, since the descent
-    guarantee only applies above the threshold).
+    The monotone-descent diagnostic runs only when ``rho_check`` says
+    rho clears the threshold, since the guarantee only applies above it.
+    A non-finite objective or residual stops the run with status
+    "diverged".
     """
     labels = np.asarray(labels, dtype=float)
-    condition_ok = None
-    if lambda_min is not None:
-        condition_ok, threshold = check_rho_condition(cfg, lambda_min)
-        if not condition_ok and cfg.enforce_rho_condition == "error":
-            raise InputError(
-                f"rho = {cfg.rho} does not exceed the descent threshold "
-                f"4*lam/lambda_min = {threshold:.6g}"
-            )
-        if not condition_ok and cfg.enforce_rho_condition == "warn":
-            warnings.warn(
-                f"rho = {cfg.rho} is at or below the descent threshold "
-                f"{threshold:.6g}; monotone descent is not guaranteed",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    monitor_descent = bool(cfg.check_descent and condition_ok)
+    monitor_descent = bool(cfg.check_descent and rho_check is not None and rho_check.ok)
 
     st = init
     trace = IterationTrace()
     prev_c = init.c
+    prev_ac = init.ac if init.ac is not None else A.entries @ init.c
     prev_lag = None
     status = "max_iter"
     for _ in range(cfg.max_iter):
         st = admm_step(loss, labels, A, cfg, st)
-        ac = A.entries @ st.c
+        ac = st.ac
         res = st.alpha - ac
         resid = float(np.linalg.norm(res))
         lag = _lagrangian_given_ac(loss, labels, cfg, st, ac)
         obj = _risk(loss, labels, ac) + cfg.lam * float(st.c @ ac)
-        step_norm = rkhs_step_norm(A, st.c, prev_c)
+        step_norm = float(np.sqrt(_psd_form(float((st.c - prev_c) @ (ac - prev_ac)))))
         trace.append(TraceRecord(st.k, lag, obj, resid, step_norm))
+        if not (np.isfinite(obj) and np.isfinite(resid)):
+            status = "diverged"
+            break
         if monitor_descent and prev_lag is not None and lag > prev_lag + DESCENT_SLACK:
             warnings.warn(
                 f"augmented Lagrangian rose by {lag - prev_lag:.3e} at iteration "
@@ -278,6 +300,7 @@ def admm_run(
             )
         prev_lag = lag
         prev_c = st.c
+        prev_ac = ac
         if resid < cfg.eps0:
             status = "converged"
             break

@@ -14,14 +14,13 @@ Exit status is 0 exactly when the command succeeded.
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import experiments
-from .admm import AdmmConfig, check_rho_condition
+from ._io import write_text_atomic
+from .admm import AdmmConfig
 from .data import (
-    Dataset,
     generate_synthetic,
     load_csv,
     load_features_csv,
@@ -29,43 +28,17 @@ from .data import (
     save_labeled_features,
     standardize,
 )
-from .errors import DefinitenessError, SplitSvmError
-from .kernels import KernelSpec, gram, min_eigenvalue
+from .errors import SplitSvmError
+from .kernels import KernelSpec, gram
 from .losses import LOSSES, get_loss
 from .model import (
-    EIG_TOL,
     FeatureScaling,
-    TrainedModel,
     load_model,
     predict_labels,
+    rho_condition,
     save_model,
     train_multistart,
 )
-
-
-@dataclass
-class RunConfig:
-    command: str
-    loss: str = "hinge"
-    kernel: str = "gaussian"
-    sigma: float = 1.0
-    lam: float = 0.1
-    rho: float = 0.05
-    eps0: float = 1e-12
-    max_iter: int = 10000
-    starts: int = 20
-    seed: int = 0
-    train_path: str | None = None
-    test_path: str | None = None
-    model_path: str | None = None
-    trace_path: str | None = None
-    data_path: str | None = None
-    output_path: str | None = None
-    n_train: int = 300
-    n_test: int = 120
-    standardize: bool = False
-    check_rho: str = "warn"
-    table: str | None = None
 
 
 def _add_hyper_flags(p):
@@ -127,65 +100,44 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_args(argv=None) -> RunConfig:
-    ns = build_parser().parse_args(argv)
-    cfg = RunConfig(command=ns.command)
-    for name, value in vars(ns).items():
-        if name != "command" and hasattr(cfg, name):
-            setattr(cfg, name, value)
-    return cfg
+def parse_args(argv=None) -> argparse.Namespace:
+    return build_parser().parse_args(argv)
 
 
-def _admm_config(rc: RunConfig) -> AdmmConfig:
-    return AdmmConfig(
-        lam=rc.lam,
-        rho=rc.rho,
-        eps0=rc.eps0,
-        max_iter=rc.max_iter,
-        enforce_rho_condition=rc.check_rho,
-    )
-
-
-def cmd_gen_data(rc: RunConfig) -> int:
-    train, test = generate_synthetic(rc.n_train, rc.n_test, rc.seed)
-    save_csv(train, rc.train_path)
-    save_csv(test, rc.test_path)
-    print(f"wrote {train.n} training points to {rc.train_path}")
-    print(f"wrote {test.n} test points to {rc.test_path}")
+def cmd_gen_data(args: argparse.Namespace) -> int:
+    train, test = generate_synthetic(args.n_train, args.n_test, args.seed)
+    save_csv(train, args.train_path)
+    save_csv(test, args.test_path)
+    print(f"wrote {train.n} training points to {args.train_path}")
+    print(f"wrote {test.n} test points to {args.test_path}")
     return 0
 
 
-def cmd_train(rc: RunConfig) -> int:
-    cfg = _admm_config(rc)  # validates the hyperparameters up front
-    spec = KernelSpec(rc.kernel, rc.sigma)
-    train = load_csv(rc.train_path)
+def cmd_train(args: argparse.Namespace) -> int:
+    # Validates the hyperparameters before any data is read.
+    cfg = AdmmConfig(lam=args.lam, rho=args.rho, eps0=args.eps0, max_iter=args.max_iter,
+                     enforce_rho_condition=args.check_rho)
+    spec = KernelSpec(args.kernel, args.sigma)
+    train = load_csv(args.train_path)
     scaling = None
-    if rc.standardize:
+    if args.standardize:
         train, _, means, scales = standardize(train)
         scaling = FeatureScaling(means, scales)
     A = gram(spec, train.X)
 
-    lambda_min = None
-    if rc.check_rho != "off":
-        try:
-            lambda_min = min_eigenvalue(A, EIG_TOL)
-            ok, threshold = check_rho_condition(cfg, lambda_min)
-            verdict = "satisfied" if ok else "NOT satisfied"
-            print(
-                f"rho condition: rho = {cfg.rho:g} vs threshold "
-                f"4*lam/lambda_min = {threshold:.6g} ({verdict})"
-            )
-        except DefinitenessError as exc:
-            print(f"rho condition: not verifiable ({exc})")
-            if rc.check_rho == "error":
-                print("error: --check-rho=error requires a verifiable kernel matrix",
-                      file=sys.stderr)
-                return 1
+    check = rho_condition(A, cfg)
+    if check.threshold is not None:
+        print(
+            f"rho condition: rho = {cfg.rho:g} vs threshold "
+            f"4*lam/lambda_min = {check.threshold:.6g} ({check.status})"
+        )
+    elif check.detail:
+        print(f"rho condition: {check.status} ({check.detail})")
 
-    loss = get_loss(rc.loss)
+    loss = get_loss(args.loss)
     model, summaries = train_multistart(
-        train, spec, loss, cfg, rc.starts, rc.seed,
-        gram_matrix=A, lambda_min=lambda_min,
+        train, spec, loss, cfg, args.starts, args.seed,
+        gram_matrix=A, rho_check=check,
     )
     model.scaling = scaling
 
@@ -201,51 +153,49 @@ def cmd_train(rc: RunConfig) -> int:
     print(f"selected start {model.meta.start_index} "
           f"(objective {model.meta.objective:.16g})")
 
-    save_model(model, rc.model_path)
-    print(f"wrote model to {rc.model_path}")
-    if rc.trace_path:
-        summaries[model.meta.start_index].trace.write_csv(rc.trace_path)
-        print(f"wrote trace to {rc.trace_path}")
+    save_model(model, args.model_path)
+    print(f"wrote model to {args.model_path}")
+    if args.trace_path:
+        summaries[model.meta.start_index].trace.write_csv(args.trace_path)
+        print(f"wrote trace to {args.trace_path}")
     return 0
 
 
-def cmd_predict(rc: RunConfig) -> int:
-    model = load_model(rc.model_path)
-    feats = load_features_csv(rc.data_path)
+def cmd_predict(args: argparse.Namespace) -> int:
+    model = load_model(args.model_path)
+    feats = load_features_csv(args.data_path)
     labels = predict_labels(model, feats)
-    save_labeled_features(feats, labels, rc.output_path)
-    print(f"wrote {feats.shape[0]} predictions to {rc.output_path}")
+    save_labeled_features(feats, labels, args.output_path)
+    print(f"wrote {feats.shape[0]} predictions to {args.output_path}")
     return 0
 
 
-def cmd_evaluate(rc: RunConfig) -> int:
-    model = load_model(rc.model_path)
-    ds = load_csv(rc.data_path)
+def cmd_evaluate(args: argparse.Namespace) -> int:
+    model = load_model(args.model_path)
+    ds = load_csv(args.data_path)
     correct = int(np.sum(predict_labels(model, ds.X) == ds.y))
     print(f"{correct}/{ds.n} accuracy: {100.0 * correct / ds.n:.1f}%")
     return 0
 
 
-def cmd_reproduce(rc: RunConfig) -> int:
-    if rc.table == "fig3":
-        result = experiments.convergence_trace(rc.seed)
-        result.run.trace.write_csv(rc.output_path, extra_cumulative_step_norm=True)
+def cmd_reproduce(args: argparse.Namespace) -> int:
+    if args.table == "fig3":
+        result = experiments.convergence_trace(args.seed)
+        result.run.trace.write_csv(args.output_path, extra_cumulative_step_norm=True)
         rec = result.run.trace.final
         print(f"status: {result.run.status} after {result.run.state.k} iterations")
         print(f"final residual: {rec.residual:.3e}, objective: {rec.objective:.12g}")
-        print(f"wrote trace to {rc.output_path}")
+        print(f"wrote trace to {args.output_path}")
         return 0
-    if rc.table == "t2":
-        rows = experiments.loss_kernel_table(rc.seed)
+    if args.table == "t2":
+        rows = experiments.loss_kernel_table(args.seed)
         include_seconds = False
     else:
-        rows = experiments.size_scaling_table(rc.seed)
+        rows = experiments.size_scaling_table(args.seed)
         include_seconds = True
-    from ._io import write_text_atomic
-
-    write_text_atomic(rc.output_path, experiments.rows_to_csv(rows, include_seconds))
+    write_text_atomic(args.output_path, experiments.rows_to_csv(rows, include_seconds))
     print(experiments.rows_to_markdown(rows, include_seconds), end="")
-    print(f"wrote table to {rc.output_path}")
+    print(f"wrote table to {args.output_path}")
     return 0
 
 
@@ -259,9 +209,9 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    rc = parse_args(argv)
+    args = parse_args(argv)
     try:
-        return _COMMANDS[rc.command](rc)
+        return _COMMANDS[args.command](args)
     except SplitSvmError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -5,6 +5,8 @@ built from affine and logarithmic pieces:
 
 * ``hinge``:  1 - z for z < 1, else 0                     (convex)
 * ``pl2``:    2 - z for z < 0, 2 - 2z for 0 <= z < 1, 0 for z >= 1
+              (nonconvex: the slope steps from -1 to -2 at z = 0, so
+              L(0) = 2 > (L(-1) + L(1)) / 2 = 1.5)
 * ``tlog``:   log(2 - z) for z < 1, else 0                (nonconvex)
 * ``ramp``:   1 for z < 0, 1 - z for 0 <= z < 1, 0 for z >= 1
 

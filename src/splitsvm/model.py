@@ -13,12 +13,20 @@ save/load round trip is bit-exact.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ._io import write_text_atomic
-from .admm import AdmmConfig, IterationTrace, admm_run, check_rho_condition, initial_state
+from .admm import (
+    AdmmConfig,
+    IterationTrace,
+    RhoCondition,
+    _psd_form,
+    admm_run,
+    check_rho_condition,
+    initial_state,
+)
 from .data import Dataset
 from .errors import (
     DefinitenessError,
@@ -28,13 +36,10 @@ from .errors import (
     TrainingError,
 )
 from .kernels import GramMatrix, KernelSpec, cross_gram, gram, min_eigenvalue
-from .losses import MarginLoss
+from .losses import LOSSES, MarginLoss
 
 FORMAT_NAME = "splitsvm-model"
 FORMAT_VERSION = 1
-
-#: Relative tolerance used when deciding the rho-condition advisory.
-EIG_TOL = 1e-2
 
 
 @dataclass(frozen=True)
@@ -116,12 +121,34 @@ def predict_labels(m: TrainedModel, points) -> np.ndarray:
 def rkhs_norm_sq(A: GramMatrix, c) -> float:
     """Squared function-space norm c^T A c of the kernel expansion."""
     c = np.asarray(c, dtype=float)
-    q = float(c @ (A.entries @ c))
-    if q < -1e-12:
-        raise DefinitenessError(
-            f"kernel matrix quadratic form is negative ({q:.3e}); matrix is not PSD"
-        )
-    return max(q, 0.0)
+    return _psd_form(float(c @ (A.entries @ c)))
+
+
+def rho_condition(A: GramMatrix, cfg: AdmmConfig) -> RhoCondition:
+    """Decide rho > 4 lam / lambda_min(A) under ``cfg.enforce_rho_condition``.
+
+    The one reader of that policy; computes lambda_min at most once.  "off"
+    computes nothing; "warn" warns once when the condition fails or cannot
+    be verified; "error" raises InputError or DefinitenessError instead.
+    """
+    policy = cfg.enforce_rho_condition
+    if policy == "off":
+        return RhoCondition("not checked")
+    try:
+        lambda_min = min_eigenvalue(A)
+    except DefinitenessError as exc:
+        if policy == "error":
+            raise
+        warnings.warn(f"could not verify the rho condition: {exc}", RuntimeWarning, stacklevel=2)
+        return RhoCondition("not verifiable", detail=str(exc))
+    ok, threshold = check_rho_condition(cfg, lambda_min)
+    if not ok and policy == "error":
+        raise InputError(f"rho = {cfg.rho} does not exceed the descent threshold "
+                         f"4*lam/lambda_min = {threshold:.6g}")
+    if not ok:
+        warnings.warn(f"rho = {cfg.rho} is at or below the descent threshold {threshold:.6g}; "
+                      "monotone descent is not guaranteed", RuntimeWarning, stacklevel=2)
+    return RhoCondition("satisfied" if ok else "NOT satisfied", lambda_min, threshold)
 
 
 @dataclass
@@ -144,12 +171,14 @@ def train_multistart(
     seed: int,
     *,
     gram_matrix: GramMatrix | None = None,
-    lambda_min: float | None = None,
+    rho_check: RhoCondition | None = None,
 ):
     """Run ``starts`` seeded ADMM starts; keep the lowest final objective.
 
     Start s draws its initial point from a generator seeded with seed + s.
-    Ties in the final objective resolve to the lowest start index.  Returns
+    Ties in the final objective resolve to the lowest start index; a start
+    that failed or diverged is never selected.  ``rho_check`` is the verdict
+    of rho_condition when the caller already has it.  Returns
     (TrainedModel, [StartSummary...]); the chosen start's trace is in its
     summary and the model metadata records which start won.
     """
@@ -158,25 +187,8 @@ def train_multistart(
     A = gram_matrix if gram_matrix is not None else gram(kernel_spec, data.X)
     if A.size != data.n:
         raise InputError("kernel matrix size does not match the dataset")
-
-    if lambda_min is None and cfg.enforce_rho_condition != "off":
-        try:
-            lambda_min = min_eigenvalue(A, EIG_TOL)
-        except DefinitenessError as exc:
-            if cfg.enforce_rho_condition == "error":
-                raise
-            warnings.warn(
-                f"could not verify the rho condition: {exc}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-    if lambda_min is not None and cfg.enforce_rho_condition == "error":
-        ok, threshold = check_rho_condition(cfg, lambda_min)
-        if not ok:
-            raise InputError(
-                f"rho = {cfg.rho} does not exceed the descent threshold "
-                f"4*lam/lambda_min = {threshold:.6g}"
-            )
+    if rho_check is None:
+        rho_check = rho_condition(A, cfg)
 
     summaries = []
     best = None
@@ -184,19 +196,22 @@ def train_multistart(
         rng = np.random.default_rng(seed + s)
         init = initial_state(A, cfg, rng)
         try:
-            run = admm_run(loss, data.y, A, cfg, init, lambda_min=lambda_min)
+            run = admm_run(loss, data.y, A, cfg, init, rho_check)
         except DefinitenessError as exc:
             summaries.append(
                 StartSummary(s, None, None, None, None, error=str(exc))
             )
             continue
         rec = run.trace.final
+        diverged = run.status == "diverged"
         summary = StartSummary(
             s, rec.objective, run.state.k, rec.residual,
             run.status == "converged", trace=run.trace,
+            error=f"diverged at iteration {rec.k} (objective {rec.objective}, "
+                  f"residual {rec.residual})" if diverged else None,
         )
         summaries.append(summary)
-        if best is None or rec.objective < best[1].objective:
+        if not diverged and (best is None or rec.objective < best[1].objective):
             best = (run, summary)
     if best is None:
         detail = "; ".join(f"start {s.index}: {s.error}" for s in summaries)
@@ -274,8 +289,28 @@ class _Reader:
         except ValueError:
             raise ParseError(f"{self.path}: line {ln}: expected numbers, got {raw}") from None
 
+    def checked(self, key, valid, what, count=None):
+        """Values of a '<key> v...' line; ParseError unless valid(values) holds."""
+        raw, ln = self.keyed(key, count)
+        vals = np.array(self.floats(raw, ln))
+        if not np.all(valid(vals)):
+            raise ParseError(f"{self.path}: line {ln}: '{key}' must be {what}, got {' '.join(raw)}")
+        return vals
+
+    def choice(self, key, allowed):
+        (raw,), ln = self.keyed(key, 1)
+        if raw not in allowed:
+            raise ParseError(f"{self.path}: line {ln}: '{key}' must be one of {list(allowed)}")
+        return raw
+
+
+def _positive(v):
+    return (v > 0) & np.isfinite(v)
+
 
 def load_model(path: str) -> TrainedModel:
+    """Read a model file, rejecting any malformed or out-of-range field with
+    a ParseError that names the line."""
     r = _Reader(path)
     head, ln = r.next("format header")
     parts = head.split()
@@ -286,25 +321,23 @@ def load_model(path: str) -> TrainedModel:
             f"{path}: unsupported format version {parts[1]} (supported: {FORMAT_VERSION})"
         )
     kraw, ln = r.keyed("kernel", 2)
-    family = kraw[0]
     (sigma,) = r.floats(kraw[1:], ln)
-    kernel = KernelSpec(family, sigma)
-    (lam,) = r.floats(*r.keyed("lambda", 1))
-    loss_name = r.keyed("loss", 1)[0][0]
-    (rho,) = r.floats(*r.keyed("rho", 1))
-    (conv,) = r.floats(*r.keyed("converged", 1))
+    try:
+        kernel = KernelSpec(kraw[0], sigma)
+    except InputError as exc:
+        raise ParseError(f"{path}: line {ln}: {exc}") from None
+    (lam,) = r.checked("lambda", _positive, "positive and finite", 1).tolist()
+    loss_name = r.choice("loss", LOSSES)
+    (rho,) = r.checked("rho", _positive, "positive and finite", 1).tolist()
+    converged = r.choice("converged", ("0", "1")) == "1"
     (residual,) = r.floats(*r.keyed("residual", 1))
     (objective,) = r.floats(*r.keyed("objective", 1))
-    (start_index,) = r.floats(*r.keyed("start", 1))
-    (has_scaling,) = r.floats(*r.keyed("scaling", 1))
+    (start_index,) = r.checked("start", lambda v: (v >= 0) & (v < 2**31) & (v == np.floor(v)),
+                               "a non-negative integer", 1).tolist()
     scaling = None
-    if has_scaling not in (0.0, 1.0):
-        raise ParseError(f"{path}: scaling flag must be 0 or 1, got {has_scaling}")
-    if has_scaling == 1.0:
-        means_raw, ln_m = r.keyed("means")
-        scales_raw, ln_s = r.keyed("scales")
-        means = np.array(r.floats(means_raw, ln_m))
-        scales = np.array(r.floats(scales_raw, ln_s))
+    if r.choice("scaling", ("0", "1")) == "1":
+        means = r.checked("means", np.isfinite, "finite")
+        scales = r.checked("scales", _positive, "positive and finite")
         if means.shape != scales.shape:
             raise ParseError(f"{path}: means and scales lengths differ")
         scaling = FeatureScaling(means, scales)
@@ -319,6 +352,7 @@ def load_model(path: str) -> TrainedModel:
         raise ParseError(f"{path}: scaling vectors must have {d} entries")
     inputs = np.empty((n, d))
     coeffs = np.empty(n)
+    first_row_line = r.pos + 1
     for i in range(n):
         line, ln = r.next(f"data row {i + 1} of {n}")
         parts = line.split()
@@ -330,12 +364,17 @@ def load_model(path: str) -> TrainedModel:
         vals = r.floats(parts, ln)
         inputs[i] = vals[:d]
         coeffs[i] = vals[d]
+    bad = np.flatnonzero(~(np.isfinite(inputs).all(axis=1) & np.isfinite(coeffs)))
+    if bad.size:
+        raise ParseError(
+            f"{path}: line {first_row_line + bad[0]}: features and coefficient must be finite"
+        )
     if r.pos < len(r.lines) and any(s.strip() for s in r.lines[r.pos:]):
         raise ParseError(f"{path}: trailing content after {n} data rows")
     meta = ModelMeta(
         loss_name=loss_name,
         rho=rho,
-        converged=bool(conv),
+        converged=converged,
         final_residual=residual,
         objective=objective,
         start_index=int(start_index),

@@ -38,7 +38,7 @@ from splitsvm.losses import (
     prox,
     prox_vector_enumerated,
 )
-from splitsvm.model import train_multistart, predict_labels
+from splitsvm.model import predict_labels, rho_condition, train_multistart
 
 
 def report(num, desc, problems):
@@ -202,7 +202,7 @@ def test_c05_descent_and_boundedness(separated_instance):
     problems = []
     data, _, A = separated_instance
     lam, rho = 0.5, 5.0
-    lam_min = min_eigenvalue(A, 1e-6)
+    lam_min = min_eigenvalue(A)
     dense_min = float(np.linalg.eigvalsh(A.entries)[0])
     if abs(lam_min - dense_min) > 1e-6 * dense_min:
         problems.append(f"eigenvalue estimate {lam_min} vs dense {dense_min}")
@@ -351,15 +351,14 @@ def test_c08_size_scaling_trend():
 def test_c09_convex_multistart_agreement(separated_instance):
     problems = []
     data, spec, A = separated_instance
-    lam_min = min_eigenvalue(A, 1e-6)
     cfg = AdmmConfig(lam=0.5, rho=5.0, eps0=1e-12, max_iter=2000)
-    ok_thr = cfg.rho > 4.0 * cfg.lam / lam_min
-    if not ok_thr:
+    check = rho_condition(A, cfg)
+    if not check.ok:
         problems.append("test setup broken: penalty below the descent threshold")
     objectives = []
     for seed in (11, 22):
         model, _ = train_multistart(data, spec, HINGE, cfg, starts=2, seed=seed,
-                                    gram_matrix=A, lambda_min=lam_min)
+                                    gram_matrix=A, rho_check=check)
         objectives.append(model.meta.objective)
     gap = abs(objectives[0] - objectives[1])
     if gap > 1e-6:

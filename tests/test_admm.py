@@ -22,6 +22,7 @@ from splitsvm.admm import (
 from splitsvm.errors import DefinitenessError, InputError
 from splitsvm.kernels import GramMatrix, KernelSpec, gram
 from splitsvm.losses import HINGE, PL2, RAMP, TLOG, margin_value
+from splitsvm.model import rho_condition
 
 
 def unit_instance():
@@ -218,53 +219,95 @@ def test_run_deterministic_for_equal_seeds():
 
 def test_monotone_descent_when_condition_holds(separated_instance):
     data, _, A = separated_instance
-    lam_min = float(np.linalg.eigvalsh(A.entries)[0])
     cfg = AdmmConfig(lam=0.5, rho=5.0, eps0=1e-12, max_iter=500)
     init = initial_state(A, cfg, np.random.default_rng(3))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = admm_run(HINGE, data.y, A, cfg, init, lambda_min=lam_min)
+        check = rho_condition(A, cfg)
+        out = admm_run(HINGE, data.y, A, cfg, init, check)
+    assert check.ok
+    assert check.lambda_min == float(np.linalg.eigvalsh(A.entries)[0])
     lags = [r.lagrangian for r in out.trace.records]
     for prev, cur in zip(lags, lags[1:]):
         assert cur <= prev + DESCENT_SLACK
 
 
 def test_rho_policy_warn_below_threshold(separated_instance):
-    data, _, A = separated_instance
-    cfg = AdmmConfig(lam=0.5, rho=1.0, eps0=1e-10, max_iter=50)
-    init = initial_state(A, cfg, np.random.default_rng(4))
-    with pytest.warns(RuntimeWarning, match="descent threshold"):
-        admm_run(HINGE, data.y, A, cfg, init, lambda_min=1.0)
+    _, _, A = separated_instance
+    cfg = AdmmConfig(lam=0.5, rho=1.0)
+    with pytest.warns(RuntimeWarning, match="descent threshold") as caught:
+        check = rho_condition(A, cfg)
+    assert len(caught) == 1
+    assert check.status == "NOT satisfied" and not check.ok
+    assert check.threshold == 4.0 * cfg.lam / check.lambda_min
 
 
 def test_rho_policy_error_below_threshold(separated_instance):
-    data, _, A = separated_instance
-    cfg = AdmmConfig(
-        lam=0.5, rho=1.0, eps0=1e-10, max_iter=50, enforce_rho_condition="error"
-    )
-    init = initial_state(A, cfg, np.random.default_rng(4))
+    _, _, A = separated_instance
+    cfg = AdmmConfig(lam=0.5, rho=1.0, enforce_rho_condition="error")
     with pytest.raises(InputError, match="descent threshold"):
-        admm_run(HINGE, data.y, A, cfg, init, lambda_min=1.0)
+        rho_condition(A, cfg)
 
 
 def test_rho_policy_off_is_silent(separated_instance):
-    data, _, A = separated_instance
-    cfg = AdmmConfig(
-        lam=0.5, rho=1.0, eps0=1e-10, max_iter=50, enforce_rho_condition="off"
-    )
-    init = initial_state(A, cfg, np.random.default_rng(4))
+    _, _, A = separated_instance
+    cfg = AdmmConfig(lam=0.5, rho=1.0, enforce_rho_condition="off")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        admm_run(HINGE, data.y, A, cfg, init, lambda_min=1.0)
+        check = rho_condition(A, cfg)
+    assert check.status == "not checked" and check.lambda_min is None
+
+
+def test_rho_policy_unverifiable_matrix():
+    singular = GramMatrix(np.ones((3, 3)))
+    with pytest.warns(RuntimeWarning, match="could not verify"):
+        check = rho_condition(singular, AdmmConfig(lam=0.5, rho=1.0))
+    assert check.status == "not verifiable" and "not positive definite" in check.detail
+    with pytest.raises(DefinitenessError):
+        rho_condition(singular, AdmmConfig(lam=0.5, rho=1.0, enforce_rho_condition="error"))
 
 
 def test_unknown_eigenvalue_skips_policy(separated_instance):
     data, _, A = separated_instance
-    cfg = AdmmConfig(lam=0.5, rho=1.0, eps0=1e-10, max_iter=50)
+    cfg = AdmmConfig(lam=0.5, rho=1.0, eps0=1e-10, max_iter=50, enforce_rho_condition="error")
     init = initial_state(A, cfg, np.random.default_rng(4))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        admm_run(HINGE, data.y, A, cfg, init)
+        out = admm_run(HINGE, data.y, A, cfg, init)
+    assert out.state.k > 0
+
+
+def test_step_warns_when_c_solve_hits_its_cap():
+    A, y = random_instance(12)
+    cfg = AdmmConfig(lam=0.1, rho=1.0, cg_tol=0.0)
+    st = initial_state(A, cfg, np.random.default_rng(0))
+    with pytest.warns(RuntimeWarning, match="did not converge at iteration 1: residual"):
+        admm_step(HINGE, y, A, cfg, st)
+
+
+def test_run_stops_a_diverged_start():
+    A, y = random_instance(6)
+    entries = A.entries.copy()
+    entries[0, 1] = entries[1, 0] = np.nan
+    bad = GramMatrix(entries)
+    cfg = AdmmConfig(lam=0.1, rho=1.0, max_iter=50)
+    out = admm_run(HINGE, y, bad, cfg, initial_state(bad, cfg, np.random.default_rng(0)))
+    assert out.status == "diverged"
+    assert out.state.k == 1 and len(out.trace) == 1
+
+
+def test_step_carries_a_c():
+    A, y = random_instance(10)
+    cfg = AdmmConfig(lam=0.2, rho=2.0)
+    st = initial_state(A, cfg, np.random.default_rng(5))
+    np.testing.assert_array_equal(st.ac, A.entries @ st.c)
+    nxt = admm_step(PL2, y, A, cfg, st)
+    np.testing.assert_array_equal(nxt.ac, A.entries @ nxt.c)
+    # a hand-built state without A c takes the same step
+    bare = AdmmState(alpha=st.alpha, c=st.c, gamma=st.gamma, k=st.k)
+    again = admm_step(PL2, y, A, cfg, bare)
+    np.testing.assert_array_equal(again.c, nxt.c)
+    np.testing.assert_array_equal(again.alpha, nxt.alpha)
 
 
 # ---------------------------------------------------------------------------

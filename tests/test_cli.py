@@ -132,6 +132,21 @@ def test_train_reports_rho_condition(tmp_path, capsys, data_files):
     assert "rho condition:" in capsys.readouterr().out
 
 
+def test_train_computes_lambda_min_once(tmp_path, capsys, data_files, monkeypatch):
+    import splitsvm.model as model_mod
+
+    calls = []
+    real = model_mod.min_eigenvalue
+    monkeypatch.setattr(model_mod, "min_eigenvalue", lambda A: calls.append(1) or real(A))
+    train, _ = data_files
+    with pytest.warns(RuntimeWarning) as caught:
+        code = main(train_args(train, tmp_path / "model.txt", "--rho", "0.01"))
+    assert code == 0
+    assert len(calls) == 1
+    assert len(caught) == 1 and "descent threshold" in str(caught[0].message)
+    assert "(NOT satisfied)" in capsys.readouterr().out
+
+
 def test_train_deterministic_model_bytes(tmp_path, data_files):
     train, _ = data_files
     p1 = tmp_path / "m1.txt"

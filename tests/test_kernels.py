@@ -165,13 +165,13 @@ def test_gram_jitter_regularizes_duplicates(caplog):
 
 
 def test_min_eigenvalue_identity():
-    assert min_eigenvalue(GramMatrix(np.eye(5)), 1e-8) == pytest.approx(1.0, rel=1e-12)
+    assert min_eigenvalue(GramMatrix(np.eye(5))) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_min_eigenvalue_well_separated_instance(separated_instance):
     _, _, A = separated_instance
     dense = np.linalg.eigvalsh(A.entries)[0]
-    est = min_eigenvalue(A, 1e-6)
+    est = min_eigenvalue(A)
     assert est == pytest.approx(dense, rel=1e-8)
     assert est == pytest.approx(1.0, abs=0.05)
 
@@ -181,23 +181,23 @@ def test_min_eigenvalue_random_instance_matches_dense():
     pts = rng.uniform(-3.0, 3.0, size=(25, 2))
     A = gram(KernelSpec("gaussian", 0.5), pts)
     dense = np.linalg.eigvalsh(A.entries)[0]
-    est = min_eigenvalue(A, 1e-6)
+    est = min_eigenvalue(A)
     assert est == pytest.approx(dense, rel=1e-6)
 
 
 def test_min_eigenvalue_deterministic(separated_instance):
     _, _, A = separated_instance
-    assert min_eigenvalue(A, 1e-6) == min_eigenvalue(A, 1e-6)
+    assert min_eigenvalue(A) == min_eigenvalue(A)
 
 
 def test_min_eigenvalue_rejects_singular_all_ones():
     with pytest.raises(DefinitenessError, match="not positive definite"):
-        min_eigenvalue(GramMatrix(np.ones((3, 3))), 1e-6)
+        min_eigenvalue(GramMatrix(np.ones((3, 3))))
 
 
 def test_min_eigenvalue_noise_floor():
     with pytest.raises(DefinitenessError, match="numerically singular"):
-        min_eigenvalue(GramMatrix(np.diag([1.0, 1e-17])), 1e-6)
+        min_eigenvalue(GramMatrix(np.diag([1.0, 1e-17])))
 
 
 def test_min_eigenvalue_near_duplicate_points_not_certified():
@@ -205,15 +205,11 @@ def test_min_eigenvalue_near_duplicate_points_not_certified():
     A = gram(KernelSpec("gaussian", 1.0), pts)
     assert A.entries[0, 1] == 1.0  # rounds to singular at working precision
     with pytest.raises(DefinitenessError):
-        min_eigenvalue(A, 1e-6)
+        min_eigenvalue(A)
 
 
 def test_min_eigenvalue_jittered_duplicates():
     pts = np.array([[0.0, 0.0], [0.0, 0.0]])
     A = gram(KernelSpec("gaussian", 1.0), pts, jitter=True)
-    assert min_eigenvalue(A, 1e-6) == pytest.approx(JITTER, rel=1e-6)
+    assert min_eigenvalue(A) == pytest.approx(JITTER, rel=1e-6)
 
-
-def test_min_eigenvalue_validates_tolerance():
-    with pytest.raises(InputError):
-        min_eigenvalue(GramMatrix(np.eye(2)), 0.0)

@@ -13,6 +13,7 @@ from splitsvm.kernels import GramMatrix, KernelSpec, gram
 from splitsvm.losses import HINGE, RAMP, TLOG
 from splitsvm.model import (
     FeatureScaling,
+    rho_condition,
     ModelMeta,
     TrainedModel,
     classify,
@@ -198,13 +199,38 @@ def test_multistart_reports_all_failed_starts(small_split):
                          starts=2, seed=0, gram_matrix=GramMatrix(bad))
 
 
+def test_multistart_never_selects_a_diverged_start(small_split):
+    train, _ = small_split
+    entries = gram(KernelSpec("gaussian", 1.0), train.X).entries.copy()
+    entries[0, 1] = entries[1, 0] = np.nan
+    cfg = AdmmConfig(lam=0.1, rho=1.0, max_iter=50, enforce_rho_condition="off")
+    with pytest.raises(TrainingError, match="start 0: diverged at iteration 1"):
+        train_multistart(train, KernelSpec("gaussian", 1.0), HINGE, cfg,
+                         starts=2, seed=0, gram_matrix=GramMatrix(entries))
+
+
+def test_multistart_checks_rho_once(small_split, monkeypatch):
+    import splitsvm.model as model_mod
+
+    calls = []
+    real = model_mod.min_eigenvalue
+    monkeypatch.setattr(model_mod, "min_eigenvalue", lambda A: calls.append(1) or real(A))
+    train, _ = small_split
+    cfg = AdmmConfig(lam=0.5, rho=1.0, max_iter=20)
+    with pytest.warns(RuntimeWarning, match="descent threshold") as caught:
+        train_multistart(train, KernelSpec("gaussian", 1.0), HINGE, cfg, starts=3, seed=0)
+    assert len(calls) == 1
+    assert len([w for w in caught if "descent threshold" in str(w.message)]) == 1
+
+
 def test_multistart_convex_seeds_agree(separated_instance):
     data, spec, A = separated_instance
     cfg = AdmmConfig(lam=0.5, rho=5.0, eps0=1e-12, max_iter=2000)
+    check = rho_condition(A, cfg)
     m1, _ = train_multistart(data, spec, HINGE, cfg, starts=2, seed=101,
-                             gram_matrix=A, lambda_min=1.0)
+                             gram_matrix=A, rho_check=check)
     m2, _ = train_multistart(data, spec, HINGE, cfg, starts=2, seed=202,
-                             gram_matrix=A, lambda_min=1.0)
+                             gram_matrix=A, rho_check=check)
     assert m1.meta.objective == pytest.approx(m2.meta.objective, abs=1e-8)
 
 
@@ -332,3 +358,39 @@ def test_load_rejects_non_numeric(tmp_path):
 def test_load_missing_file(tmp_path):
     with pytest.raises(OSError):
         load_model(str(tmp_path / "absent.txt"))
+
+
+@pytest.fixture(scope="module")
+def saved_model_lines(tmp_path_factory):
+    path = tmp_path_factory.mktemp("model") / "model.txt"
+    save_model(trained_small_model(with_scaling=True), str(path))
+    return path.read_text().splitlines()
+
+
+# (0-based index of the line to replace, replacement); the file has scaling,
+# so index 10 is "means", 11 is "scales" and 13 is the first data row.
+@pytest.mark.parametrize("index, line", [
+    (1, "kernel laplace 1"),
+    (1, "kernel gaussian -1"),
+    (2, "lambda -3"),
+    (2, "lambda 0"),
+    (2, "lambda inf"),
+    (3, "loss bogus"),
+    (4, "rho 0"),
+    (4, "rho nan"),
+    (5, "converged 2"),
+    (8, "start 2.7"),
+    (8, "start -1"),
+    (10, "means nan 0"),
+    (11, "scales 1 0"),
+    (11, "scales 1 -2"),
+    (13, "nan 0.5 1.0"),
+    (13, "0.5 0.5 inf"),
+])
+def test_load_rejects_out_of_range_field(tmp_path, saved_model_lines, index, line):
+    lines = list(saved_model_lines)
+    lines[index] = line
+    path = tmp_path / "bad.txt"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=f"line {index + 1}:"):
+        load_model(str(path))
