@@ -26,7 +26,6 @@ from .errors import (
     TrainingError,
 )
 from .kernels import GramMatrix, KernelSpec, eval_kernel, gram, min_eigenvalue
-from .linalg import CgResult, cg_solve
 from .losses import (
     HINGE,
     LOSSES,

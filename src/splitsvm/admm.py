@@ -14,8 +14,9 @@ One iteration performs
 
   1. alpha update: n independent scalar subproblems with anchors
      (A c)_i - gamma_i / rho, solved exactly (losses.prox_vector);
-  2. c update: solve (2 lam I + rho A) c = rho alpha + gamma by warm-started
-     conjugate gradients;
+  2. c update: solve (2 lam I + rho A) c = rho alpha + gamma with a Cholesky
+     factor of the fixed matrix, computed once per run (c_factor) and applied
+     as a correction to the previous c;
   3. multiplier update: gamma = 2 lam c, the closed form the exact c update
      implies for an invertible A.
 
@@ -27,14 +28,15 @@ monitored as diagnostics rather than assumed.
 """
 
 import warnings
-from dataclasses import dataclass, field
+from array import array
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 from ._io import write_text_atomic
 from .errors import DefinitenessError, InputError
 from .kernels import GramMatrix
-from .linalg import cg_solve
 from .losses import MarginLoss, margin_value, prox_vector
 
 #: Allowed uphill movement of the augmented Lagrangian before a warning.
@@ -49,10 +51,6 @@ class AdmmConfig:
     rho: float
     eps0: float = 1e-12
     max_iter: int = 10000
-    # Two decades below the default eps0: with a looser inner solve the outer
-    # residual can floor fractionally above eps0 and never stop.
-    cg_tol: float = 1e-14
-    check_descent: bool = True
     enforce_rho_condition: str = "warn"
 
     def __post_init__(self):
@@ -64,8 +62,6 @@ class AdmmConfig:
             raise InputError(f"stopping threshold eps0 must be positive, got {self.eps0}")
         if self.max_iter < 1:
             raise InputError(f"iteration cap must be at least 1, got {self.max_iter}")
-        if not (0 <= self.cg_tol < 1):
-            raise InputError(f"cg_tol must lie in [0, 1), got {self.cg_tol}")
         if self.enforce_rho_condition not in RHO_POLICIES:
             raise InputError(
                 f"enforce_rho_condition must be one of {RHO_POLICIES}, "
@@ -107,19 +103,27 @@ class TraceRecord:
     step_norm_H: float
 
 
-@dataclass
 class IterationTrace:
-    records: list = field(default_factory=list)
+    """TraceRecords stored as one typed array per field (40 bytes a record)."""
+
+    def __init__(self):
+        self._columns = (array("q"),) + tuple(array("d") for _ in range(4))
 
     def append(self, rec: TraceRecord) -> None:
-        self.records.append(rec)
+        for col, v in zip(self._columns, (rec.k, rec.lagrangian, rec.objective,
+                                          rec.residual, rec.step_norm_H)):
+            col.append(v)
+
+    @property
+    def records(self) -> list:
+        return [TraceRecord(*row) for row in zip(*self._columns)]
 
     @property
     def final(self) -> TraceRecord:
-        return self.records[-1]
+        return TraceRecord(*(col[-1] for col in self._columns))
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self._columns[0])
 
     def to_csv(self, extra_cumulative_step_norm: bool = False) -> str:
         header = "k,lagrangian,objective,residual,step_norm_H"
@@ -127,13 +131,10 @@ class IterationTrace:
             header += ",cum_step_norm_H"
         lines = [header]
         cum = 0.0
-        for rec in self.records:
-            row = (
-                f"{rec.k},{rec.lagrangian:.17g},{rec.objective:.17g},"
-                f"{rec.residual:.17g},{rec.step_norm_H:.17g}"
-            )
+        for k, lag, obj, resid, step in zip(*self._columns):
+            row = f"{k},{lag:.17g},{obj:.17g},{resid:.17g},{step:.17g}"
             if extra_cumulative_step_norm:
-                cum += rec.step_norm_H
+                cum += step
                 row += f",{cum:.17g}"
             lines.append(row)
         return "\n".join(lines) + "\n"
@@ -185,12 +186,29 @@ def objective_value(loss, labels, A: GramMatrix, cfg: AdmmConfig, c) -> float:
     return _risk(loss, labels, ac) + cfg.lam * float(c @ ac)
 
 
-def admm_step(loss: MarginLoss, labels, A: GramMatrix, cfg: AdmmConfig, st: AdmmState) -> AdmmState:
+def c_factor(A: GramMatrix, cfg: AdmmConfig):
+    """Cholesky factor of M = 2 lam I + rho A, the matrix of every c-update.
+
+    The factor is the only N x N buffer this allocates: rho A is formed
+    transposed (Fortran order, which LAPACK factors in place) and its
+    diagonal shifted.  Raises DefinitenessError when M is not positive
+    definite.
+    """
+    m = (cfg.rho * A.entries).T
+    m[np.diag_indices_from(m)] += 2.0 * cfg.lam
+    try:
+        return cho_factor(m, overwrite_a=True, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise DefinitenessError(f"cannot factor 2 lam I + rho A: {exc}") from None
+
+
+def admm_step(loss: MarginLoss, labels, A: GramMatrix, cfg: AdmmConfig, st: AdmmState,
+              factor=None) -> AdmmState:
     """One full iteration (alpha, c, gamma); the input state is not modified.
 
-    Uses ``st.ac`` as A c when it is set and returns the new state with
+    ``factor`` is c_factor(A, cfg), built here when not given.  Uses
+    ``st.ac`` as A c when it is set and returns the new state with
     ``ac = A @ c``, so a loop of steps forms that product once per iteration.
-    Warns when the c-solve stops at its iteration cap.
     """
     labels = np.asarray(labels, dtype=float)
     n = A.size
@@ -201,16 +219,10 @@ def admm_step(loss: MarginLoss, labels, A: GramMatrix, cfg: AdmmConfig, st: Admm
     anchors = ac - st.gamma / cfg.rho
     alpha = prox_vector(loss, cfg.rho, n, labels, anchors)
     b = cfg.rho * alpha + st.gamma
-
-    def op(w):
-        return 2.0 * cfg.lam * w + cfg.rho * (m @ w)
-
-    sol = cg_solve(op, b, st.c, tol=cfg.cg_tol, max_iter=max(4 * n, 16))
-    if not sol.converged:
-        warnings.warn(f"c-solve did not converge at iteration {st.k + 1}: residual "
-                      f"{sol.residual_norm:.3e} after {sol.iters} CG iterations",
-                      RuntimeWarning, stacklevel=2)
-    c = sol.x
+    if factor is None:
+        factor = c_factor(A, cfg)
+    # Solve for the change from st.c: an exact fixed point stays bitwise fixed.
+    c = st.c + cho_solve(factor, b - (2.0 * cfg.lam * st.c + cfg.rho * ac), check_finite=False)
     return AdmmState(alpha=alpha, c=c, gamma=2.0 * cfg.lam * c, k=st.k + 1, ac=m @ c)
 
 
@@ -268,10 +280,12 @@ def admm_run(
     The monotone-descent diagnostic runs only when ``rho_check`` says
     rho clears the threshold, since the guarantee only applies above it.
     A non-finite objective or residual stops the run with status
-    "diverged".
+    "diverged".  Raises DefinitenessError when 2 lam I + rho A is not
+    positive definite.
     """
     labels = np.asarray(labels, dtype=float)
-    monitor_descent = bool(cfg.check_descent and rho_check is not None and rho_check.ok)
+    monitor_descent = rho_check is not None and rho_check.ok
+    factor = c_factor(A, cfg)
 
     st = init
     trace = IterationTrace()
@@ -280,7 +294,7 @@ def admm_run(
     prev_lag = None
     status = "max_iter"
     for _ in range(cfg.max_iter):
-        st = admm_step(loss, labels, A, cfg, st)
+        st = admm_step(loss, labels, A, cfg, st, factor)
         ac = st.ac
         res = st.alpha - ac
         resid = float(np.linalg.norm(res))

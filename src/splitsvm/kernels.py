@@ -77,7 +77,13 @@ def cross_gram(spec: KernelSpec, points, others) -> np.ndarray:
     oth = np.asarray(others, dtype=float)
     if pts.ndim != 2 or oth.ndim != 2 or pts.shape[1] != oth.shape[1]:
         raise InputError("point sets must be 2-D with matching feature dimension")
-    return np.exp(-spec.sigma * cdist(pts, oth, metric=_METRIC[spec.family]))
+    return _kernel_of_distances(spec, cdist(pts, oth, metric=_METRIC[spec.family]))
+
+
+def _kernel_of_distances(spec: KernelSpec, dist: np.ndarray) -> np.ndarray:
+    """exp(-sigma * dist), computed in the distance buffer itself."""
+    dist *= -spec.sigma
+    return np.exp(dist, out=dist)
 
 
 def gram(spec: KernelSpec, points, *, jitter: bool = False) -> GramMatrix:
@@ -108,7 +114,7 @@ def gram(spec: KernelSpec, points, *, jitter: bool = False) -> GramMatrix:
                     f"points {i} and {j} are identical; the kernel matrix would be "
                     f"singular (pass jitter=True to regularize)"
                 )
-        entries = np.exp(-spec.sigma * squareform(cond))
+        entries = _kernel_of_distances(spec, squareform(cond))
     if jitter:
         entries[np.diag_indices(n)] += JITTER
         logger.warning(

@@ -41,6 +41,9 @@ from .losses import LOSSES, MarginLoss
 FORMAT_NAME = "splitsvm-model"
 FORMAT_VERSION = 1
 
+#: Rows of the cross-kernel matrix that prediction forms at a time.
+PREDICT_BLOCK = 1024
+
 
 @dataclass(frozen=True)
 class ModelMeta:
@@ -97,16 +100,26 @@ def _prepare(m: TrainedModel, x) -> np.ndarray:
     return pts, squeeze
 
 
+def _decisions(m: TrainedModel, pts: np.ndarray) -> np.ndarray:
+    """s(x) for prepared points, forming PREDICT_BLOCK rows of the
+    cross-kernel matrix at a time so memory does not grow with the batch."""
+    out = np.empty(pts.shape[0])
+    for i in range(0, pts.shape[0], PREDICT_BLOCK):
+        block = slice(i, i + PREDICT_BLOCK)
+        out[block] = cross_gram(m.kernel, pts[block], m.inputs) @ m.coeffs
+    return out
+
+
 def decision_values(m: TrainedModel, points) -> np.ndarray:
     pts, _ = _prepare(m, points)
-    return cross_gram(m.kernel, pts, m.inputs) @ m.coeffs
+    return _decisions(m, pts)
 
 
 def decision_value(m: TrainedModel, x) -> float:
     pts, squeeze = _prepare(m, x)
     if not squeeze:
         raise InputError("decision_value expects a single point; use decision_values")
-    return float((cross_gram(m.kernel, pts, m.inputs) @ m.coeffs)[0])
+    return float(_decisions(m, pts)[0])
 
 
 def classify(m: TrainedModel, x) -> int:
@@ -179,8 +192,8 @@ def train_multistart(
     Ties in the final objective resolve to the lowest start index; a start
     that failed or diverged is never selected.  ``rho_check`` is the verdict
     of rho_condition when the caller already has it.  Returns
-    (TrainedModel, [StartSummary...]); the chosen start's trace is in its
-    summary and the model metadata records which start won.
+    (TrainedModel, [StartSummary...]); only the chosen start's summary
+    keeps its trace, and the model metadata records which start won.
     """
     if starts < 1:
         raise InputError(f"need at least one start, got {starts}")
@@ -206,7 +219,7 @@ def train_multistart(
         diverged = run.status == "diverged"
         summary = StartSummary(
             s, rec.objective, run.state.k, rec.residual,
-            run.status == "converged", trace=run.trace,
+            run.status == "converged",
             error=f"diverged at iteration {rec.k} (objective {rec.objective}, "
                   f"residual {rec.residual})" if diverged else None,
         )
@@ -217,6 +230,7 @@ def train_multistart(
         detail = "; ".join(f"start {s.index}: {s.error}" for s in summaries)
         raise TrainingError(f"all {starts} training starts failed: {detail}")
     run, summary = best
+    summary.trace = run.trace
     meta = ModelMeta(
         loss_name=loss.name,
         rho=cfg.rho,

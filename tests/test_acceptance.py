@@ -14,12 +14,14 @@ import time
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_solve
 
 from _oracles import dense_solve, grid_prox, prox_subproblem, random_prox_cases
 from splitsvm.admm import (
     AdmmConfig,
     admm_run,
     admm_step,
+    c_factor,
     initial_state,
     lagrangian,
     stationarity_residual,
@@ -28,7 +30,6 @@ from splitsvm.cli import main as cli_main
 from splitsvm.data import generate_synthetic, load_csv, standardize
 from splitsvm.experiments import size_scaling_table
 from splitsvm.kernels import KernelSpec, gram, min_eigenvalue
-from splitsvm.linalg import cg_solve
 from splitsvm.losses import (
     HINGE,
     LOSSES,
@@ -136,7 +137,7 @@ def test_c02_closed_form_branch_tables():
 
 
 # ---------------------------------------------------------------------------
-# 3. warm-startable CG against a dense direct solve
+# 3. the Cholesky c-solve against a dense direct solve
 # ---------------------------------------------------------------------------
 
 
@@ -148,13 +149,13 @@ def test_c03_cg_matches_dense_solver():
         pts = rng.uniform(-5.0, 5.0, size=(n, 2))
         lam = float(rng.uniform(0.1, 1.0))
         rho = float(rng.uniform(0.05, 5.0))
-        A = gram(KernelSpec("gaussian", 1.0), pts).entries
-        m = 2.0 * lam * np.eye(n) + rho * A
+        A = gram(KernelSpec("gaussian", 1.0), pts)
+        m = 2.0 * lam * np.eye(n) + rho * A.entries
         b = rng.standard_normal(n)
-        res = cg_solve(m, b, np.zeros(n), tol=1e-13, max_iter=8 * n)
+        x = cho_solve(c_factor(A, AdmmConfig(lam=lam, rho=rho)), b)
         ref = dense_solve(m, b)
-        rel = float(np.linalg.norm(res.x - ref) / np.linalg.norm(ref))
-        resid = float(np.linalg.norm(b - m @ res.x) / np.linalg.norm(b))
+        rel = float(np.linalg.norm(x - ref) / np.linalg.norm(ref))
+        resid = float(np.linalg.norm(b - m @ x) / np.linalg.norm(b))
         if rel > 1e-8:
             problems.append(f"system {k}: relative error {rel:.3e} > 1e-8")
         if resid > 1e-10:

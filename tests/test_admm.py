@@ -12,6 +12,7 @@ from splitsvm.admm import (
     TraceRecord,
     admm_run,
     admm_step,
+    c_factor,
     check_rho_condition,
     initial_state,
     lagrangian,
@@ -52,8 +53,8 @@ def random_instance(n=20, seed=5, spread=4.0):
         dict(lam=0.1, rho=-2.0),
         dict(lam=0.1, rho=1.0, eps0=0.0),
         dict(lam=0.1, rho=1.0, max_iter=0),
-        dict(lam=0.1, rho=1.0, cg_tol=-1e-3),
-        dict(lam=0.1, rho=1.0, cg_tol=1.0),
+        dict(lam=0.1, rho=math.inf),
+        dict(lam=0.1, rho=1.0, eps0=math.nan),
         dict(lam=0.1, rho=1.0, enforce_rho_condition="maybe"),
     ],
 )
@@ -66,7 +67,6 @@ def test_config_defaults():
     cfg = AdmmConfig(lam=0.1, rho=0.05)
     assert cfg.eps0 == 1e-12
     assert cfg.max_iter == 10000
-    assert cfg.check_descent
     assert cfg.enforce_rho_condition == "warn"
 
 
@@ -277,14 +277,6 @@ def test_unknown_eigenvalue_skips_policy(separated_instance):
     assert out.state.k > 0
 
 
-def test_step_warns_when_c_solve_hits_its_cap():
-    A, y = random_instance(12)
-    cfg = AdmmConfig(lam=0.1, rho=1.0, cg_tol=0.0)
-    st = initial_state(A, cfg, np.random.default_rng(0))
-    with pytest.warns(RuntimeWarning, match="did not converge at iteration 1: residual"):
-        admm_step(HINGE, y, A, cfg, st)
-
-
 def test_run_stops_a_diverged_start():
     A, y = random_instance(6)
     entries = A.entries.copy()
@@ -308,6 +300,25 @@ def test_step_carries_a_c():
     again = admm_step(PL2, y, A, cfg, bare)
     np.testing.assert_array_equal(again.c, nxt.c)
     np.testing.assert_array_equal(again.alpha, nxt.alpha)
+
+
+def test_step_with_the_run_factor_equals_its_own():
+    A, y = random_instance(10)
+    cfg = AdmmConfig(lam=0.2, rho=2.0)
+    st = initial_state(A, cfg, np.random.default_rng(5))
+    given = admm_step(TLOG, y, A, cfg, st, c_factor(A, cfg))
+    own = admm_step(TLOG, y, A, cfg, st)
+    np.testing.assert_array_equal(given.c, own.c)
+    np.testing.assert_array_equal(given.alpha, own.alpha)
+
+
+def test_run_rejects_an_indefinite_c_matrix():
+    # 2 lam I + rho A has eigenvalues 0.2 - 1 and 0.2 + 3.
+    A = GramMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    cfg = AdmmConfig(lam=0.1, rho=1.0, max_iter=5, enforce_rho_condition="off")
+    init = initial_state(A, cfg, np.random.default_rng(0))
+    with pytest.raises(DefinitenessError, match="not positive definite"):
+        admm_run(HINGE, np.array([1.0, -1.0]), A, cfg, init)
 
 
 # ---------------------------------------------------------------------------
@@ -406,6 +417,17 @@ def test_trace_csv_format_and_precision():
     assert int(fields[0]) == 1
     # 17 significant digits round-trip doubles exactly
     assert float(fields[1]) == 1.0 / 3.0
+
+
+def test_trace_returns_the_records_appended():
+    recs = [TraceRecord(1, 1.0 / 3.0, 0.25, 1e-5, 0.5), TraceRecord(2, 0.3, 0.2, 1e-7, 0.25)]
+    trace = IterationTrace()
+    for rec in recs:
+        trace.append(rec)
+    assert len(trace) == 2
+    assert trace.records == recs
+    assert trace.final == recs[-1]
+    assert type(trace.final.k) is int
 
 
 def test_trace_csv_cumulative_column():

@@ -53,7 +53,7 @@ def test_public_api_importable():
 
     for name in (
         "AdmmConfig", "admm_run", "train_multistart", "gram", "min_eigenvalue",
-        "cg_solve", "prox", "prox_vector", "get_loss", "generate_synthetic",
+        "prox", "prox_vector", "get_loss", "generate_synthetic",
         "load_model", "save_model", "decision_values", "stationarity_residual",
     ):
         assert hasattr(splitsvm, name), name

@@ -4,14 +4,16 @@ import pytest
 from splitsvm.admm import AdmmConfig, admm_run, initial_state
 from splitsvm.data import Dataset, generate_synthetic, standardize
 from splitsvm.errors import (
+    DefinitenessError,
     FormatVersionError,
     InputError,
     ParseError,
     TrainingError,
 )
-from splitsvm.kernels import GramMatrix, KernelSpec, gram
+from splitsvm.kernels import GramMatrix, KernelSpec, cross_gram, gram
 from splitsvm.losses import HINGE, RAMP, TLOG
 from splitsvm.model import (
+    PREDICT_BLOCK,
     FeatureScaling,
     rho_condition,
     ModelMeta,
@@ -56,6 +58,20 @@ def test_decision_values_at_training_points_equal_gram_product(rng):
     m = toy_model(coeffs=coeffs, inputs=pts)
     A = gram(m.kernel, pts).entries
     np.testing.assert_allclose(decision_values(m, pts), A @ coeffs, rtol=1e-12, atol=1e-14)
+
+
+def test_decision_values_in_blocks_match_the_one_shot_product(rng):
+    pts = rng.uniform(-2.0, 2.0, size=(30, 2))
+    coeffs = rng.normal(size=30)
+    m = toy_model(coeffs=coeffs, inputs=pts)
+    q = rng.uniform(-3.0, 3.0, size=(2 * PREDICT_BLOCK + 37, 2))
+    one_shot = cross_gram(m.kernel, q, pts) @ coeffs
+    np.testing.assert_allclose(decision_values(m, q), one_shot, rtol=1e-12, atol=1e-14)
+
+
+def test_decision_values_of_no_points_is_empty():
+    out = decision_values(toy_model(), np.empty((0, 2)))
+    assert out.shape == (0,)
 
 
 def test_decision_values_linear_in_coefficients(rng):
@@ -150,6 +166,8 @@ def test_multistart_keeps_lowest_objective(small_split):
     chosen = summaries[model.meta.start_index]
     assert chosen.trace is not None
     assert chosen.trace.final.objective == model.meta.objective
+    assert len(chosen.trace) == chosen.iterations
+    assert all(s.trace is None for s in summaries if s is not chosen)
 
 
 def test_multistart_accepts_precomputed_gram(small_split):
@@ -194,9 +212,32 @@ def test_multistart_reports_all_failed_starts(small_split):
     bad = np.eye(n)
     bad[0, 1] = bad[1, 0] = 2.0
     cfg = AdmmConfig(lam=0.1, rho=1.0, max_iter=50, enforce_rho_condition="off")
-    with pytest.raises(TrainingError, match="all 2 training starts failed"):
+    with pytest.raises(TrainingError, match="all 2 training starts failed: start 0: cannot "
+                                            r"factor 2 lam I \+ rho A: .* not positive definite"):
         train_multistart(train, KernelSpec("gaussian", 1.0), HINGE, cfg,
                          starts=2, seed=0, gram_matrix=GramMatrix(bad))
+
+
+def test_multistart_never_selects_a_failed_start(small_split, monkeypatch):
+    import splitsvm.model as model_mod
+
+    real = model_mod.admm_run
+    calls = []
+
+    def first_start_fails(*args):
+        calls.append(1)
+        if len(calls) == 1:
+            raise DefinitenessError("cannot factor 2 lam I + rho A")
+        return real(*args)
+
+    monkeypatch.setattr(model_mod, "admm_run", first_start_fails)
+    train, _ = small_split
+    cfg = AdmmConfig(lam=0.5, rho=5.0, eps0=1e-8, max_iter=200, enforce_rho_condition="off")
+    model, summaries = train_multistart(train, KernelSpec("gaussian", 1.0), HINGE, cfg,
+                                        starts=3, seed=0)
+    assert summaries[0].error is not None and summaries[0].objective is None
+    assert summaries[0].trace is None
+    assert model.meta.start_index != 0
 
 
 def test_multistart_never_selects_a_diverged_start(small_split):
