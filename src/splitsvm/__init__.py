@@ -8,7 +8,6 @@ from .admm import (
     TraceRecord,
     admm_run,
     admm_step,
-    check_rho_condition,
     initial_state,
     lagrangian,
     objective_value,

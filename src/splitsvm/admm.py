@@ -15,10 +15,11 @@ One iteration performs
   1. alpha update: n independent scalar subproblems with anchors
      (A c)_i - gamma_i / rho, solved exactly (losses.prox_vector);
   2. c update: solve (2 lam I + rho A) c = rho alpha + gamma with a Cholesky
-     factor of the fixed matrix, computed once per run (c_factor) and applied
-     as a correction to the previous c;
+     factor of the fixed matrix (c_factor, built once per train_multistart
+     and shared by its starts) applied as a correction to the previous c;
   3. multiplier update: gamma = 2 lam c, the closed form the exact c update
-     implies for an invertible A.
+     implies for an invertible A.  The state therefore stores c only, and
+     gamma is formed as 2 lam c wherever it is read.
 
 The loop stops when ||alpha - A c||_2 < eps0, or as "diverged" when the
 objective or residual is no longer finite.  When rho exceeds the
@@ -73,10 +74,9 @@ class AdmmConfig:
 class AdmmState:
     alpha: np.ndarray
     c: np.ndarray
-    gamma: np.ndarray
+    #: A @ c, carried so each iteration forms it once.
+    ac: np.ndarray
     k: int
-    #: A @ c, carried so each iteration forms it once; None means "not known".
-    ac: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -151,31 +151,32 @@ class AdmmRunResult:
     status: str  # "converged" | "max_iter" | "diverged"
 
 
-def initial_state(A: GramMatrix, cfg: AdmmConfig, rng: np.random.Generator) -> AdmmState:
-    """Random start: c ~ Uniform[-10, 10]^n with alpha and gamma consistent."""
+def initial_state(A: GramMatrix, rng: np.random.Generator) -> AdmmState:
+    """Random start: c ~ Uniform[-10, 10]^n with alpha = A c."""
     c0 = rng.uniform(-10.0, 10.0, A.size)
     ac = A.entries @ c0
-    return AdmmState(alpha=ac, c=c0, gamma=2.0 * cfg.lam * c0, k=0, ac=ac)
+    return AdmmState(alpha=ac, c=c0, ac=ac, k=0)
 
 
 def _risk(loss, labels, t) -> float:
     return float(np.mean(margin_value(loss, labels * t)))
 
 
-def _lagrangian_given_ac(loss, labels, cfg, st, ac) -> float:
-    res = st.alpha - ac
+def _lagrangian_given(loss, labels, cfg, st, res, cac) -> float:
+    """Augmented Lagrangian from the split residual alpha - A c and c^T A c."""
     return (
         _risk(loss, labels, st.alpha)
-        + cfg.lam * float(st.c @ ac)
-        + float(st.gamma @ res)
+        + cfg.lam * cac
+        + float((2.0 * cfg.lam * st.c) @ res)
         + 0.5 * cfg.rho * float(res @ res)
     )
 
 
 def lagrangian(loss, labels, A: GramMatrix, cfg: AdmmConfig, st: AdmmState) -> float:
-    """Augmented Lagrangian at the given state."""
+    """Augmented Lagrangian at the given state (A c formed afresh)."""
     labels = np.asarray(labels, dtype=float)
-    return _lagrangian_given_ac(loss, labels, cfg, st, A.entries @ st.c)
+    ac = A.entries @ st.c
+    return _lagrangian_given(loss, labels, cfg, st, st.alpha - ac, float(st.c @ ac))
 
 
 def objective_value(loss, labels, A: GramMatrix, cfg: AdmmConfig, c) -> float:
@@ -203,27 +204,24 @@ def c_factor(A: GramMatrix, cfg: AdmmConfig):
 
 
 def admm_step(loss: MarginLoss, labels, A: GramMatrix, cfg: AdmmConfig, st: AdmmState,
-              factor=None) -> AdmmState:
+              factor) -> AdmmState:
     """One full iteration (alpha, c, gamma); the input state is not modified.
 
-    ``factor`` is c_factor(A, cfg), built here when not given.  Uses
-    ``st.ac`` as A c when it is set and returns the new state with
-    ``ac = A @ c``, so a loop of steps forms that product once per iteration.
+    ``factor`` is c_factor(A, cfg).  Reads A c from ``st.ac`` and returns
+    the new state with ``ac = A @ c``, so a loop of steps forms that product
+    once per iteration.
     """
     labels = np.asarray(labels, dtype=float)
     n = A.size
     if labels.shape != (n,):
         raise InputError("labels must match the kernel matrix size")
-    m = A.entries
-    ac = st.ac if st.ac is not None else m @ st.c
-    anchors = ac - st.gamma / cfg.rho
+    gamma = 2.0 * cfg.lam * st.c
+    anchors = st.ac - gamma / cfg.rho
     alpha = prox_vector(loss, cfg.rho, n, labels, anchors)
-    b = cfg.rho * alpha + st.gamma
-    if factor is None:
-        factor = c_factor(A, cfg)
+    b = cfg.rho * alpha + gamma
     # Solve for the change from st.c: an exact fixed point stays bitwise fixed.
-    c = st.c + cho_solve(factor, b - (2.0 * cfg.lam * st.c + cfg.rho * ac), check_finite=False)
-    return AdmmState(alpha=alpha, c=c, gamma=2.0 * cfg.lam * c, k=st.k + 1, ac=m @ c)
+    c = st.c + cho_solve(factor, b - (gamma + cfg.rho * st.ac), check_finite=False)
+    return AdmmState(alpha=alpha, c=c, ac=A.entries @ c, k=st.k + 1)
 
 
 def _psd_form(q: float) -> float:
@@ -245,14 +243,6 @@ def rkhs_step_norm(A: GramMatrix, c_new, c_old) -> float:
     return float(np.sqrt(_psd_form(float(d @ (A.entries @ d)))))
 
 
-def check_rho_condition(cfg: AdmmConfig, lambda_min: float):
-    """Whether rho clears the descent threshold 4 lam / lambda_min."""
-    if not (lambda_min > 0):
-        raise InputError(f"lambda_min must be positive, got {lambda_min}")
-    threshold = 4.0 * cfg.lam / lambda_min
-    return cfg.rho > threshold, threshold
-
-
 def stationarity_residual(loss, labels, A: GramMatrix, cfg: AdmmConfig, st: AdmmState) -> float:
     """Max-norm violation of the fixed-point equations at a state.
 
@@ -262,7 +252,7 @@ def stationarity_residual(loss, labels, A: GramMatrix, cfg: AdmmConfig, st: Admm
     labels = np.asarray(labels, dtype=float)
     ac = A.entries @ st.c
     split = float(np.max(np.abs(st.alpha - ac))) if A.size else 0.0
-    anchors = ac - st.gamma / cfg.rho
+    anchors = ac - (2.0 * cfg.lam * st.c) / cfg.rho
     fixed = prox_vector(loss, cfg.rho, A.size, labels, anchors)
     return max(split, float(np.max(np.abs(st.alpha - fixed))))
 
@@ -274,9 +264,12 @@ def admm_run(
     cfg: AdmmConfig,
     init: AdmmState,
     rho_check: RhoCondition | None = None,
+    factor=None,
 ) -> AdmmRunResult:
     """Iterate from ``init`` until ||alpha - A c|| < eps0 or the cap.
 
+    ``factor`` is c_factor(A, cfg), built here when not given; callers
+    running several starts on one matrix build it once and pass it.
     The monotone-descent diagnostic runs only when ``rho_check`` says
     rho clears the threshold, since the guarantee only applies above it.
     A non-finite objective or residual stops the run with status
@@ -285,12 +278,13 @@ def admm_run(
     """
     labels = np.asarray(labels, dtype=float)
     monitor_descent = rho_check is not None and rho_check.ok
-    factor = c_factor(A, cfg)
+    if factor is None:
+        factor = c_factor(A, cfg)
 
     st = init
     trace = IterationTrace()
     prev_c = init.c
-    prev_ac = init.ac if init.ac is not None else A.entries @ init.c
+    prev_ac = init.ac
     prev_lag = None
     status = "max_iter"
     for _ in range(cfg.max_iter):
@@ -298,8 +292,9 @@ def admm_run(
         ac = st.ac
         res = st.alpha - ac
         resid = float(np.linalg.norm(res))
-        lag = _lagrangian_given_ac(loss, labels, cfg, st, ac)
-        obj = _risk(loss, labels, ac) + cfg.lam * float(st.c @ ac)
+        cac = float(st.c @ ac)
+        lag = _lagrangian_given(loss, labels, cfg, st, res, cac)
+        obj = _risk(loss, labels, ac) + cfg.lam * cac
         step_norm = float(np.sqrt(_psd_form(float((st.c - prev_c) @ (ac - prev_ac)))))
         trace.append(TraceRecord(st.k, lag, obj, resid, step_norm))
         if not (np.isfinite(obj) and np.isfinite(resid)):

@@ -51,7 +51,7 @@ def convergence_trace(seed: int, max_iter: int = 10000) -> ConvergenceResult:
     )
     A = gram(KernelSpec("gaussian", 1.0), train.X)
     loss = get_loss("tlog")
-    init = initial_state(A, cfg, np.random.default_rng(seed))
+    init = initial_state(A, np.random.default_rng(seed))
     run = admm_run(loss, train.y, A, cfg, init)
     return ConvergenceResult(run, A, train, cfg, loss.name)
 
@@ -70,6 +70,28 @@ class TableRow:
     seconds: float
 
 
+def _table_row(train, test, spec, loss, cfg, starts, seed, gram_matrix=None) -> TableRow:
+    """Train one multistart model, timing the training, and score both splits."""
+    t0 = time.perf_counter()
+    model, summaries = train_multistart(
+        train, spec, loss, cfg, starts, seed, gram_matrix=gram_matrix
+    )
+    seconds = time.perf_counter() - t0
+    chosen = summaries[model.meta.start_index]
+    return TableRow(
+        loss=loss.name,
+        kernel=spec.family,
+        sigma=spec.sigma,
+        n_train=train.n,
+        n_test=test.n,
+        train_accuracy=_accuracy(model, train),
+        test_accuracy=_accuracy(model, test),
+        iterations=chosen.iterations,
+        converged=bool(chosen.converged),
+        seconds=seconds,
+    )
+
+
 def loss_kernel_table(seed: int, starts: int = 20, max_iter: int = 10000):
     """Accuracy of every loss/kernel pair on one 300/120 synthetic split."""
     train, test = generate_synthetic(300, 120, seed)
@@ -81,26 +103,7 @@ def loss_kernel_table(seed: int, starts: int = 20, max_iter: int = 10000):
         spec = KernelSpec(family, sigma)
         A = gram(spec, train.X)
         for loss_name in LOSS_ORDER:
-            t0 = time.perf_counter()
-            model, summaries = train_multistart(
-                train, spec, get_loss(loss_name), cfg, starts, seed, gram_matrix=A
-            )
-            seconds = time.perf_counter() - t0
-            chosen = summaries[model.meta.start_index]
-            rows.append(
-                TableRow(
-                    loss=loss_name,
-                    kernel=family,
-                    sigma=sigma,
-                    n_train=train.n,
-                    n_test=test.n,
-                    train_accuracy=_accuracy(model, train),
-                    test_accuracy=_accuracy(model, test),
-                    iterations=chosen.iterations,
-                    converged=bool(chosen.converged),
-                    seconds=seconds,
-                )
-            )
+            rows.append(_table_row(train, test, spec, get_loss(loss_name), cfg, starts, seed, A))
     return rows
 
 
@@ -122,24 +125,7 @@ def size_scaling_table(
     rows = []
     for idx, n in enumerate(sizes):
         train, test = generate_synthetic(n, (2 * n) // 5, seed + idx)
-        t0 = time.perf_counter()
-        model, summaries = train_multistart(train, spec, loss, cfg, starts, seed)
-        seconds = time.perf_counter() - t0
-        chosen = summaries[model.meta.start_index]
-        rows.append(
-            TableRow(
-                loss=loss.name,
-                kernel=spec.family,
-                sigma=spec.sigma,
-                n_train=n,
-                n_test=test.n,
-                train_accuracy=_accuracy(model, train),
-                test_accuracy=_accuracy(model, test),
-                iterations=chosen.iterations,
-                converged=bool(chosen.converged),
-                seconds=seconds,
-            )
-        )
+        rows.append(_table_row(train, test, spec, loss, cfg, starts, seed))
     return rows
 
 

@@ -52,6 +52,8 @@ class GramMatrix:
         self.entries = np.asarray(self.entries, dtype=float)
         if self.entries.ndim != 2 or self.entries.shape[0] != self.entries.shape[1]:
             raise InputError("kernel matrix must be square")
+        if not np.all(np.isfinite(self.entries)):
+            raise InputError("kernel matrix entries must be finite")
 
     @property
     def size(self) -> int:

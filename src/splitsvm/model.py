@@ -24,7 +24,7 @@ from .admm import (
     RhoCondition,
     _psd_form,
     admm_run,
-    check_rho_condition,
+    c_factor,
     initial_state,
 )
 from .data import Dataset
@@ -154,7 +154,8 @@ def rho_condition(A: GramMatrix, cfg: AdmmConfig) -> RhoCondition:
             raise
         warnings.warn(f"could not verify the rho condition: {exc}", RuntimeWarning, stacklevel=2)
         return RhoCondition("not verifiable", detail=str(exc))
-    ok, threshold = check_rho_condition(cfg, lambda_min)
+    threshold = 4.0 * cfg.lam / lambda_min
+    ok = cfg.rho > threshold
     if not ok and policy == "error":
         raise InputError(f"rho = {cfg.rho} does not exceed the descent threshold "
                          f"4*lam/lambda_min = {threshold:.6g}")
@@ -189,8 +190,10 @@ def train_multistart(
     """Run ``starts`` seeded ADMM starts; keep the lowest final objective.
 
     Start s draws its initial point from a generator seeded with seed + s.
-    Ties in the final objective resolve to the lowest start index; a start
-    that failed or diverged is never selected.  ``rho_check`` is the verdict
+    All starts share one factor of 2 lam I + rho A, built before the first
+    start; DefinitenessError is raised when it cannot be built.  Ties in
+    the final objective resolve to the lowest start index; a start that
+    failed or diverged is never selected.  ``rho_check`` is the verdict
     of rho_condition when the caller already has it.  Returns
     (TrainedModel, [StartSummary...]); only the chosen start's summary
     keeps its trace, and the model metadata records which start won.
@@ -202,14 +205,15 @@ def train_multistart(
         raise InputError("kernel matrix size does not match the dataset")
     if rho_check is None:
         rho_check = rho_condition(A, cfg)
+    factor = c_factor(A, cfg)
 
     summaries = []
     best = None
     for s in range(starts):
         rng = np.random.default_rng(seed + s)
-        init = initial_state(A, cfg, rng)
+        init = initial_state(A, rng)
         try:
-            run = admm_run(loss, data.y, A, cfg, init, rho_check)
+            run = admm_run(loss, data.y, A, cfg, init, rho_check, factor)
         except DefinitenessError as exc:
             summaries.append(
                 StartSummary(s, None, None, None, None, error=str(exc))

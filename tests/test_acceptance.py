@@ -183,15 +183,19 @@ def test_c04_multiplier_identity_every_iteration(separated_instance):
                  AdmmConfig(lam=0.1, rho=0.5, enforce_rho_condition="off"), 80))
 
     for tag, loss, y, mat, cfg, iters in runs:
-        st = initial_state(mat, cfg, np.random.default_rng(1))
+        factor = c_factor(mat, cfg)
+        st = initial_state(mat, np.random.default_rng(1))
         for _ in range(iters):
-            st = admm_step(loss, y, mat, cfg, st)
-            gap = float(np.max(np.abs(st.gamma - 2.0 * cfg.lam * st.c)))
-            bound = 1e-12 * (1.0 + float(np.max(np.abs(st.c))))
+            nxt = admm_step(loss, y, mat, cfg, st, factor)
+            # textbook multiplier update from gamma_k = 2 lam c_k
+            updated = 2.0 * cfg.lam * st.c + cfg.rho * (nxt.alpha - mat.entries @ nxt.c)
+            gap = float(np.max(np.abs(updated - 2.0 * cfg.lam * nxt.c)))
+            bound = 1e-12 * (1.0 + float(np.max(np.abs(nxt.c))))
             if gap > bound:
-                problems.append(f"{tag} iteration {st.k}: gap {gap:.3e} > {bound:.3e}")
-    report(4, "multiplier equals 2*lam*c after every iteration "
-              "(140 iterations across two problems)", problems)
+                problems.append(f"{tag} iteration {nxt.k}: gap {gap:.3e} > {bound:.3e}")
+            st = nxt
+    report(4, "multiplier update 2*lam*c_k + rho*(alpha - A c) equals 2*lam*c "
+              "after every iteration (140 iterations across two problems)", problems)
 
 
 # ---------------------------------------------------------------------------
@@ -214,11 +218,12 @@ def test_c05_descent_and_boundedness(separated_instance):
     for loss in (HINGE, RAMP):
         cfg = AdmmConfig(lam=lam, rho=rho, eps0=1e-12, max_iter=2000,
                          enforce_rho_condition="off")
-        st = initial_state(A, cfg, np.random.default_rng(0))
+        factor = c_factor(A, cfg)
+        st = initial_state(A, np.random.default_rng(0))
         lags = []
         norms = []
         for _ in range(cfg.max_iter):
-            st = admm_step(loss, data.y, A, cfg, st)
+            st = admm_step(loss, data.y, A, cfg, st, factor)
             lags.append(lagrangian(loss, data.y, A, cfg, st))
             norms.append(float(st.c @ st.c))
             if float(np.linalg.norm(st.alpha - A.entries @ st.c)) < cfg.eps0:

@@ -13,7 +13,6 @@ from splitsvm.admm import (
     admm_run,
     admm_step,
     c_factor,
-    check_rho_condition,
     initial_state,
     lagrangian,
     objective_value,
@@ -29,6 +28,12 @@ from splitsvm.model import rho_condition
 def unit_instance():
     """Single training point with kernel matrix [[1]]."""
     return GramMatrix(np.array([[1.0]])), np.array([1.0])
+
+
+def state(A, alpha, c):
+    """An iteration-0 state with alpha and c as given and its A c formed."""
+    c = np.asarray(c, dtype=float)
+    return AdmmState(alpha=np.asarray(alpha, dtype=float), c=c, ac=A.entries @ c, k=0)
 
 
 def random_instance(n=20, seed=5, spread=4.0):
@@ -78,7 +83,7 @@ def test_config_defaults():
 def test_lagrangian_at_zero_state_is_loss_at_zero():
     A, y = unit_instance()
     cfg = AdmmConfig(lam=0.25, rho=1.0)
-    st = AdmmState(alpha=np.zeros(1), c=np.zeros(1), gamma=np.zeros(1), k=0)
+    st = state(A, [0.0], [0.0])
     assert lagrangian(HINGE, y, A, cfg, st) == 1.0
     assert lagrangian(TLOG, y, A, cfg, st) == pytest.approx(math.log(2.0))
 
@@ -88,7 +93,7 @@ def test_lagrangian_equals_objective_on_consistent_states(rng):
     cfg = AdmmConfig(lam=0.3, rho=2.0)
     for _ in range(5):
         c = rng.normal(size=10)
-        st = AdmmState(alpha=A.entries @ c, c=c, gamma=2.0 * cfg.lam * c, k=0)
+        st = state(A, A.entries @ c, c)
         lag = lagrangian(PL2, y, A, cfg, st)
         obj = objective_value(PL2, y, A, cfg, c)
         assert lag == pytest.approx(obj, rel=1e-12)
@@ -99,9 +104,9 @@ def test_lagrangian_term_by_term(rng):
     cfg = AdmmConfig(lam=0.7, rho=1.3)
     alpha = rng.normal(size=8)
     c = rng.normal(size=8)
-    gamma = rng.normal(size=8)
-    st = AdmmState(alpha=alpha, c=c, gamma=gamma, k=0)
+    st = state(A, alpha, c)
     ac = A.entries @ c
+    gamma = 2.0 * cfg.lam * c
     expected = (
         float(np.mean(margin_value(TLOG, y * alpha)))
         + cfg.lam * float(c @ ac)
@@ -119,15 +124,17 @@ def test_lagrangian_term_by_term(rng):
 def test_one_step_worked_example():
     # n=1, A=[[1]], hinge, lam=1/4, rho=1, start at the origin:
     # anchors = 0, prox step lands on the margin (alpha = 1), the linear
-    # solve is 1.5 c = 1, and gamma = c / 2.
+    # solve is 1.5 c = 1, and the multiplier update 0 + rho (alpha - A c)
+    # gives 1/3 = 2 lam c.
     A, y = unit_instance()
     cfg = AdmmConfig(lam=0.25, rho=1.0)
-    st0 = AdmmState(alpha=np.zeros(1), c=np.zeros(1), gamma=np.zeros(1), k=0)
-    st1 = admm_step(HINGE, y, A, cfg, st0)
+    st0 = state(A, [0.0], [0.0])
+    st1 = admm_step(HINGE, y, A, cfg, st0, c_factor(A, cfg))
     assert st1.k == 1
     assert st1.alpha[0] == 1.0
     assert st1.c[0] == pytest.approx(2.0 / 3.0, abs=1e-12)
-    assert st1.gamma[0] == pytest.approx(1.0 / 3.0, abs=1e-12)
+    assert cfg.rho * (st1.alpha[0] - st1.ac[0]) == pytest.approx(1.0 / 3.0, abs=1e-12)
+    assert 2.0 * cfg.lam * st1.c[0] == pytest.approx(1.0 / 3.0, abs=1e-12)
     # input state untouched
     assert st0.c[0] == 0.0 and st0.k == 0
 
@@ -135,31 +142,35 @@ def test_one_step_worked_example():
 def test_fixed_point_is_preserved_bitwise():
     A, y = unit_instance()
     cfg = AdmmConfig(lam=1.0, rho=1.0)
-    st = AdmmState(alpha=np.array([0.5]), c=np.array([0.5]), gamma=np.array([1.0]), k=0)
-    nxt = admm_step(HINGE, y, A, cfg, st)
+    st = state(A, [0.5], [0.5])
+    nxt = admm_step(HINGE, y, A, cfg, st, c_factor(A, cfg))
     np.testing.assert_array_equal(nxt.alpha, st.alpha)
     np.testing.assert_array_equal(nxt.c, st.c)
-    np.testing.assert_array_equal(nxt.gamma, st.gamma)
+    np.testing.assert_array_equal(nxt.ac, st.ac)
     assert nxt.k == 1
 
 
 def test_step_rejects_mismatched_labels():
     A, _ = random_instance(6)
     cfg = AdmmConfig(lam=0.1, rho=1.0)
-    st = AdmmState(alpha=np.zeros(6), c=np.zeros(6), gamma=np.zeros(6), k=0)
+    st = state(A, np.zeros(6), np.zeros(6))
     with pytest.raises(InputError):
-        admm_step(HINGE, np.ones(5), A, cfg, st)
+        admm_step(HINGE, np.ones(5), A, cfg, st, c_factor(A, cfg))
 
 
 def test_multiplier_identity_after_every_step():
+    # The textbook update gamma + rho (alpha - A c), from gamma = 2 lam c_prev,
+    # lands on 2 lam c: the identity the state relies on instead of storing gamma.
     A, y = random_instance(20)
     cfg = AdmmConfig(lam=0.4, rho=2.5)
-    st = initial_state(A, cfg, np.random.default_rng(0))
+    factor = c_factor(A, cfg)
+    st = initial_state(A, np.random.default_rng(0))
     for _ in range(30):
-        st = admm_step(TLOG, y, A, cfg, st)
-        np.testing.assert_array_equal(st.gamma, 2.0 * cfg.lam * st.c)
-        gap = np.max(np.abs(st.gamma - 2.0 * cfg.lam * st.c))
-        assert gap <= 1e-12 * (1.0 + np.max(np.abs(st.c)))
+        nxt = admm_step(TLOG, y, A, cfg, st, factor)
+        updated = 2.0 * cfg.lam * st.c + cfg.rho * (nxt.alpha - A.entries @ nxt.c)
+        gap = np.max(np.abs(updated - 2.0 * cfg.lam * nxt.c))
+        assert gap <= 1e-12 * (1.0 + np.max(np.abs(nxt.c)))
+        st = nxt
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +181,7 @@ def test_multiplier_identity_after_every_step():
 def test_run_stops_at_fixed_point():
     A, y = unit_instance()
     cfg = AdmmConfig(lam=1.0, rho=1.0, eps0=1e-12)
-    st = AdmmState(alpha=np.array([0.5]), c=np.array([0.5]), gamma=np.array([1.0]), k=0)
+    st = state(A, [0.5], [0.5])
     out = admm_run(HINGE, y, A, cfg, st)
     assert out.status == "converged"
     assert len(out.trace) == 1
@@ -181,7 +192,7 @@ def test_run_stops_at_fixed_point():
 def test_run_honors_iteration_cap():
     A, y = random_instance(16)
     cfg = AdmmConfig(lam=0.1, rho=0.05, eps0=1e-14, max_iter=3)
-    init = initial_state(A, cfg, np.random.default_rng(1))
+    init = initial_state(A, np.random.default_rng(1))
     out = admm_run(TLOG, y, A, cfg, init)
     assert out.status == "max_iter"
     assert len(out.trace) == 3
@@ -191,7 +202,7 @@ def test_run_honors_iteration_cap():
 def test_run_trace_matches_recomputation():
     A, y = random_instance(12)
     cfg = AdmmConfig(lam=0.5, rho=5.0, eps0=1e-10, max_iter=200)
-    init = initial_state(A, cfg, np.random.default_rng(2))
+    init = initial_state(A, np.random.default_rng(2))
     out = admm_run(RAMP, y, A, cfg, init)
     final = out.trace.final
     assert final.objective == pytest.approx(
@@ -207,7 +218,7 @@ def test_run_deterministic_for_equal_seeds():
     cfg = AdmmConfig(lam=0.2, rho=2.0, eps0=1e-11, max_iter=500)
     outs = []
     for _ in range(2):
-        init = initial_state(A, cfg, np.random.default_rng(123))
+        init = initial_state(A, np.random.default_rng(123))
         outs.append(admm_run(PL2, y, A, cfg, init))
     a, b = outs
     assert a.status == b.status
@@ -220,7 +231,7 @@ def test_run_deterministic_for_equal_seeds():
 def test_monotone_descent_when_condition_holds(separated_instance):
     data, _, A = separated_instance
     cfg = AdmmConfig(lam=0.5, rho=5.0, eps0=1e-12, max_iter=500)
-    init = initial_state(A, cfg, np.random.default_rng(3))
+    init = initial_state(A, np.random.default_rng(3))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         check = rho_condition(A, cfg)
@@ -270,20 +281,20 @@ def test_rho_policy_unverifiable_matrix():
 def test_unknown_eigenvalue_skips_policy(separated_instance):
     data, _, A = separated_instance
     cfg = AdmmConfig(lam=0.5, rho=1.0, eps0=1e-10, max_iter=50, enforce_rho_condition="error")
-    init = initial_state(A, cfg, np.random.default_rng(4))
+    init = initial_state(A, np.random.default_rng(4))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         out = admm_run(HINGE, data.y, A, cfg, init)
     assert out.state.k > 0
 
 
-def test_run_stops_a_diverged_start():
+def test_run_stops_a_diverged_start(monkeypatch):
+    import splitsvm.admm as admm_mod
+
+    monkeypatch.setattr(admm_mod, "prox_vector", lambda *args: np.full(6, np.nan))
     A, y = random_instance(6)
-    entries = A.entries.copy()
-    entries[0, 1] = entries[1, 0] = np.nan
-    bad = GramMatrix(entries)
     cfg = AdmmConfig(lam=0.1, rho=1.0, max_iter=50)
-    out = admm_run(HINGE, y, bad, cfg, initial_state(bad, cfg, np.random.default_rng(0)))
+    out = admm_run(HINGE, y, A, cfg, initial_state(A, np.random.default_rng(0)))
     assert out.status == "diverged"
     assert out.state.k == 1 and len(out.trace) == 1
 
@@ -291,32 +302,17 @@ def test_run_stops_a_diverged_start():
 def test_step_carries_a_c():
     A, y = random_instance(10)
     cfg = AdmmConfig(lam=0.2, rho=2.0)
-    st = initial_state(A, cfg, np.random.default_rng(5))
+    st = initial_state(A, np.random.default_rng(5))
     np.testing.assert_array_equal(st.ac, A.entries @ st.c)
-    nxt = admm_step(PL2, y, A, cfg, st)
+    nxt = admm_step(PL2, y, A, cfg, st, c_factor(A, cfg))
     np.testing.assert_array_equal(nxt.ac, A.entries @ nxt.c)
-    # a hand-built state without A c takes the same step
-    bare = AdmmState(alpha=st.alpha, c=st.c, gamma=st.gamma, k=st.k)
-    again = admm_step(PL2, y, A, cfg, bare)
-    np.testing.assert_array_equal(again.c, nxt.c)
-    np.testing.assert_array_equal(again.alpha, nxt.alpha)
-
-
-def test_step_with_the_run_factor_equals_its_own():
-    A, y = random_instance(10)
-    cfg = AdmmConfig(lam=0.2, rho=2.0)
-    st = initial_state(A, cfg, np.random.default_rng(5))
-    given = admm_step(TLOG, y, A, cfg, st, c_factor(A, cfg))
-    own = admm_step(TLOG, y, A, cfg, st)
-    np.testing.assert_array_equal(given.c, own.c)
-    np.testing.assert_array_equal(given.alpha, own.alpha)
 
 
 def test_run_rejects_an_indefinite_c_matrix():
     # 2 lam I + rho A has eigenvalues 0.2 - 1 and 0.2 + 3.
     A = GramMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
     cfg = AdmmConfig(lam=0.1, rho=1.0, max_iter=5, enforce_rho_condition="off")
-    init = initial_state(A, cfg, np.random.default_rng(0))
+    init = initial_state(A, np.random.default_rng(0))
     with pytest.raises(DefinitenessError, match="not positive definite"):
         admm_run(HINGE, np.array([1.0, -1.0]), A, cfg, init)
 
@@ -327,13 +323,14 @@ def test_run_rejects_an_indefinite_c_matrix():
 
 
 def test_check_rho_condition_values():
-    ok, thr = check_rho_condition(AdmmConfig(lam=0.5, rho=5.0), 1.0)
-    assert ok and thr == 2.0
-    ok, thr = check_rho_condition(AdmmConfig(lam=0.25, rho=1.0), 1.0)
-    assert thr == 1.0
-    assert not ok  # the inequality is strict
-    with pytest.raises(InputError):
-        check_rho_condition(AdmmConfig(lam=0.5, rho=5.0), 0.0)
+    identity = GramMatrix(np.eye(3))  # lambda_min = 1
+    check = rho_condition(identity, AdmmConfig(lam=0.5, rho=5.0))
+    assert check.lambda_min == 1.0
+    assert check.status == "satisfied" and check.threshold == 2.0
+    with pytest.warns(RuntimeWarning, match="descent threshold"):
+        check = rho_condition(identity, AdmmConfig(lam=0.25, rho=1.0))
+    assert check.threshold == 1.0
+    assert check.status == "NOT satisfied"  # the inequality is strict
 
 
 def test_rkhs_step_norm_identity_kernel():
@@ -361,21 +358,21 @@ def test_rkhs_step_norm_rejects_indefinite():
 def test_stationarity_residual_zero_at_fixed_point():
     A, y = unit_instance()
     cfg = AdmmConfig(lam=1.0, rho=1.0)
-    st = AdmmState(alpha=np.array([0.5]), c=np.array([0.5]), gamma=np.array([1.0]), k=0)
+    st = state(A, [0.5], [0.5])
     assert stationarity_residual(HINGE, y, A, cfg, st) == 0.0
 
 
 def test_stationarity_residual_positive_off_fixed_point():
     A, y = random_instance(10)
     cfg = AdmmConfig(lam=0.5, rho=2.0)
-    st = initial_state(A, cfg, np.random.default_rng(9))
+    st = initial_state(A, np.random.default_rng(9))
     assert stationarity_residual(TLOG, y, A, cfg, st) > 1e-3
 
 
 def test_converged_run_has_small_stationarity_residual():
     A, y = random_instance(12)
     cfg = AdmmConfig(lam=0.5, rho=5.0, eps0=1e-12, max_iter=2000)
-    init = initial_state(A, cfg, np.random.default_rng(6))
+    init = initial_state(A, np.random.default_rng(6))
     out = admm_run(HINGE, y, A, cfg, init)
     assert out.status == "converged"
     assert stationarity_residual(HINGE, y, A, cfg, out.state) <= 1e-9
@@ -388,20 +385,18 @@ def test_converged_run_has_small_stationarity_residual():
 
 def test_initial_state_ranges_and_consistency():
     A, _ = random_instance(25)
-    cfg = AdmmConfig(lam=0.3, rho=1.0)
-    st = initial_state(A, cfg, np.random.default_rng(42))
+    st = initial_state(A, np.random.default_rng(42))
     assert st.k == 0
     assert st.c.shape == (25,)
     assert np.all(st.c >= -10.0) and np.all(st.c <= 10.0)
-    np.testing.assert_array_equal(st.alpha, A.entries @ st.c)
-    np.testing.assert_array_equal(st.gamma, 2.0 * cfg.lam * st.c)
+    np.testing.assert_array_equal(st.ac, A.entries @ st.c)
+    np.testing.assert_array_equal(st.alpha, st.ac)
 
 
 def test_initial_state_seed_determinism():
     A, _ = random_instance(8)
-    cfg = AdmmConfig(lam=0.3, rho=1.0)
-    a = initial_state(A, cfg, np.random.default_rng(7))
-    b = initial_state(A, cfg, np.random.default_rng(7))
+    a = initial_state(A, np.random.default_rng(7))
+    b = initial_state(A, np.random.default_rng(7))
     np.testing.assert_array_equal(a.c, b.c)
 
 

@@ -74,6 +74,14 @@ def test_gram_matrix_must_be_square():
     assert GramMatrix(np.eye(3)).size == 3
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_gram_matrix_rejects_non_finite_entries(value):
+    entries = np.eye(3)
+    entries[0, 1] = entries[1, 0] = value
+    with pytest.raises(InputError, match="finite"):
+        GramMatrix(entries)
+
+
 @pytest.mark.parametrize("family", KERNEL_FAMILIES)
 def test_gram_matches_pairwise_kernel(family, rng):
     spec = KernelSpec(family, 1.3)

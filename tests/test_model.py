@@ -145,7 +145,7 @@ def test_single_start_equals_direct_run(small_split):
     spec = KernelSpec("gaussian", 1.0)
     A = gram(spec, train.X)
     model, summaries = train_multistart(train, spec, HINGE, cfg, starts=1, seed=77)
-    init = initial_state(A, cfg, np.random.default_rng(77))
+    init = initial_state(A, np.random.default_rng(77))
     direct = admm_run(HINGE, train.y, A, cfg, init)
     np.testing.assert_array_equal(model.coeffs, direct.coeffs)
     assert summaries[0].iterations == direct.state.k
@@ -205,17 +205,24 @@ def test_multistart_enforces_rho_condition(separated_instance):
         train_multistart(data, spec, HINGE, cfg, starts=1, seed=0)
 
 
-def test_multistart_reports_all_failed_starts(small_split):
+def test_multistart_reports_all_failed_starts(small_split, monkeypatch):
+    import splitsvm.model as model_mod
+
+    runs = []
+    real = model_mod.admm_run
+    monkeypatch.setattr(model_mod, "admm_run", lambda *args: runs.append(1) or real(*args))
     train, _ = small_split
-    # An indefinite "kernel" matrix makes every start's inner solve fail.
+    # An indefinite "kernel" matrix makes 2 lam I + rho A unfactorable, which
+    # fails the problem once, before any start runs.
     n = train.n
     bad = np.eye(n)
     bad[0, 1] = bad[1, 0] = 2.0
     cfg = AdmmConfig(lam=0.1, rho=1.0, max_iter=50, enforce_rho_condition="off")
-    with pytest.raises(TrainingError, match="all 2 training starts failed: start 0: cannot "
-                                            r"factor 2 lam I \+ rho A: .* not positive definite"):
+    with pytest.raises(DefinitenessError,
+                       match=r"cannot factor 2 lam I \+ rho A: .* not positive definite"):
         train_multistart(train, KernelSpec("gaussian", 1.0), HINGE, cfg,
                          starts=2, seed=0, gram_matrix=GramMatrix(bad))
+    assert runs == []
 
 
 def test_multistart_never_selects_a_failed_start(small_split, monkeypatch):
@@ -227,7 +234,7 @@ def test_multistart_never_selects_a_failed_start(small_split, monkeypatch):
     def first_start_fails(*args):
         calls.append(1)
         if len(calls) == 1:
-            raise DefinitenessError("cannot factor 2 lam I + rho A")
+            raise DefinitenessError("kernel matrix quadratic form is negative")
         return real(*args)
 
     monkeypatch.setattr(model_mod, "admm_run", first_start_fails)
@@ -240,14 +247,14 @@ def test_multistart_never_selects_a_failed_start(small_split, monkeypatch):
     assert model.meta.start_index != 0
 
 
-def test_multistart_never_selects_a_diverged_start(small_split):
+def test_multistart_never_selects_a_diverged_start(small_split, monkeypatch):
+    import splitsvm.admm as admm_mod
+
     train, _ = small_split
-    entries = gram(KernelSpec("gaussian", 1.0), train.X).entries.copy()
-    entries[0, 1] = entries[1, 0] = np.nan
+    monkeypatch.setattr(admm_mod, "prox_vector", lambda *args: np.full(train.n, np.nan))
     cfg = AdmmConfig(lam=0.1, rho=1.0, max_iter=50, enforce_rho_condition="off")
     with pytest.raises(TrainingError, match="start 0: diverged at iteration 1"):
-        train_multistart(train, KernelSpec("gaussian", 1.0), HINGE, cfg,
-                         starts=2, seed=0, gram_matrix=GramMatrix(entries))
+        train_multistart(train, KernelSpec("gaussian", 1.0), HINGE, cfg, starts=2, seed=0)
 
 
 def test_multistart_checks_rho_once(small_split, monkeypatch):
@@ -262,6 +269,20 @@ def test_multistart_checks_rho_once(small_split, monkeypatch):
         train_multistart(train, KernelSpec("gaussian", 1.0), HINGE, cfg, starts=3, seed=0)
     assert len(calls) == 1
     assert len([w for w in caught if "descent threshold" in str(w.message)]) == 1
+
+
+def test_multistart_factors_once(small_split, monkeypatch):
+    import splitsvm.model as model_mod
+
+    calls = []
+    real = model_mod.c_factor
+    monkeypatch.setattr(model_mod, "c_factor", lambda A, cfg: calls.append(1) or real(A, cfg))
+    train, _ = small_split
+    cfg = AdmmConfig(lam=0.5, rho=5.0, max_iter=20, enforce_rho_condition="off")
+    _, summaries = train_multistart(train, KernelSpec("gaussian", 1.0), HINGE, cfg,
+                                    starts=3, seed=0)
+    assert len(summaries) == 3 and all(s.error is None for s in summaries)
+    assert len(calls) == 1
 
 
 def test_multistart_convex_seeds_agree(separated_instance):
