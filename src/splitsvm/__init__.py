@@ -9,9 +9,6 @@ from .admm import (
     admm_run,
     admm_step,
     initial_state,
-    lagrangian,
-    objective_value,
-    rkhs_step_norm,
     stationarity_residual,
 )
 from .data import Dataset, generate_synthetic, load_csv, save_csv, standardize
@@ -24,7 +21,7 @@ from .errors import (
     SplitSvmError,
     TrainingError,
 )
-from .kernels import GramMatrix, KernelSpec, eval_kernel, gram, min_eigenvalue
+from .kernels import GramMatrix, KernelSpec, gram, min_eigenvalue
 from .losses import (
     HINGE,
     LOSSES,
@@ -32,21 +29,15 @@ from .losses import (
     RAMP,
     TLOG,
     MarginLoss,
-    ProxParams,
     get_loss,
-    loss_value,
-    prox,
     prox_vector,
 )
 from .model import (
     TrainedModel,
-    classify,
-    decision_value,
     decision_values,
     load_model,
     predict_labels,
     rho_condition,
-    rkhs_norm_sq,
     save_model,
     train_multistart,
 )

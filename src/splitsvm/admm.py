@@ -146,7 +146,6 @@ class IterationTrace:
 @dataclass
 class AdmmRunResult:
     state: AdmmState
-    coeffs: np.ndarray
     trace: IterationTrace
     status: str  # "converged" | "max_iter" | "diverged"
 
@@ -170,21 +169,6 @@ def _lagrangian_given(loss, labels, cfg, st, res, cac) -> float:
         + float((2.0 * cfg.lam * st.c) @ res)
         + 0.5 * cfg.rho * float(res @ res)
     )
-
-
-def lagrangian(loss, labels, A: GramMatrix, cfg: AdmmConfig, st: AdmmState) -> float:
-    """Augmented Lagrangian at the given state (A c formed afresh)."""
-    labels = np.asarray(labels, dtype=float)
-    ac = A.entries @ st.c
-    return _lagrangian_given(loss, labels, cfg, st, st.alpha - ac, float(st.c @ ac))
-
-
-def objective_value(loss, labels, A: GramMatrix, cfg: AdmmConfig, c) -> float:
-    """Training objective F(A c) + lam c^T A c at a coefficient vector."""
-    labels = np.asarray(labels, dtype=float)
-    c = np.asarray(c, dtype=float)
-    ac = A.entries @ c
-    return _risk(loss, labels, ac) + cfg.lam * float(c @ ac)
 
 
 def c_factor(A: GramMatrix, cfg: AdmmConfig):
@@ -231,16 +215,6 @@ def _psd_form(q: float) -> float:
             f"kernel matrix quadratic form is negative ({q:.3e}); matrix is not PSD"
         )
     return max(q, 0.0)
-
-
-def rkhs_step_norm(A: GramMatrix, c_new, c_old) -> float:
-    """Function-space distance between successive classifiers.
-
-    For s = sum_i c_i k(x_i, .), the squared distance between the functions
-    for c_new and c_old is (c_new - c_old)^T A (c_new - c_old).
-    """
-    d = np.asarray(c_new, dtype=float) - np.asarray(c_old, dtype=float)
-    return float(np.sqrt(_psd_form(float(d @ (A.entries @ d)))))
 
 
 def stationarity_residual(loss, labels, A: GramMatrix, cfg: AdmmConfig, st: AdmmState) -> float:
@@ -313,4 +287,4 @@ def admm_run(
         if resid < cfg.eps0:
             status = "converged"
             break
-    return AdmmRunResult(state=st, coeffs=st.c, trace=trace, status=status)
+    return AdmmRunResult(state=st, trace=trace, status=status)

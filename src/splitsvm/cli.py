@@ -19,7 +19,7 @@ import numpy as np
 
 from . import experiments
 from ._io import write_text_atomic
-from .admm import AdmmConfig
+from .admm import RHO_POLICIES, AdmmConfig
 from .data import (
     generate_synthetic,
     load_csv,
@@ -29,7 +29,7 @@ from .data import (
     standardize,
 )
 from .errors import SplitSvmError
-from .kernels import KernelSpec, gram
+from .kernels import KERNEL_FAMILIES, KernelSpec, gram
 from .losses import LOSSES, get_loss
 from .model import (
     FeatureScaling,
@@ -43,7 +43,7 @@ from .model import (
 
 def _add_hyper_flags(p):
     p.add_argument("--loss", choices=sorted(LOSSES), default="hinge")
-    p.add_argument("--kernel", choices=("gaussian", "matern1"), default="gaussian")
+    p.add_argument("--kernel", choices=KERNEL_FAMILIES, default="gaussian")
     p.add_argument("--sigma", type=float, default=1.0, help="kernel width (default 1)")
     p.add_argument("--lambda", dest="lam", type=float, default=0.1,
                    help="regularization weight (default 0.1)")
@@ -79,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trace", dest="trace_path", help="optional per-iteration CSV")
     p.add_argument("--standardize", action="store_true",
                    help="z-score features by training statistics")
-    p.add_argument("--check-rho", choices=("off", "warn", "error"), default="warn",
+    p.add_argument("--check-rho", choices=RHO_POLICIES, default="warn",
                    help="policy for the descent threshold on rho (default warn)")
 
     p = sub.add_parser("predict", help="label a feature-only CSV")

@@ -95,6 +95,19 @@ def _data_rows(path):
     return rows, width
 
 
+def _parse_features(path, ln, cells, out):
+    """Fill the row ``out`` with the numbers in ``cells`` (file line ``ln``)."""
+    for j, cell in enumerate(cells):
+        try:
+            out[j] = float(cell)
+        except ValueError:
+            raise ParseError(
+                f"{path}: line {ln}: field {j + 1} is not a number: {cell!r}"
+            ) from None
+    if not np.all(np.isfinite(out)):
+        raise ParseError(f"{path}: line {ln}: features must be finite")
+
+
 def load_csv(path: str) -> Dataset:
     """Read a labeled dataset (features..., label)."""
     rows, width = _data_rows(path)
@@ -109,15 +122,7 @@ def load_csv(path: str) -> Dataset:
                 f"{path}: line {ln}: label must be '1', '+1' or '-1', got {raw_label!r}"
             )
         labels[k] = _LABELS[raw_label]
-        for j, cell in enumerate(row[:-1]):
-            try:
-                feats[k, j] = float(cell)
-            except ValueError:
-                raise ParseError(
-                    f"{path}: line {ln}: field {j + 1} is not a number: {cell!r}"
-                ) from None
-        if not np.all(np.isfinite(feats[k])):
-            raise ParseError(f"{path}: line {ln}: features must be finite")
+        _parse_features(path, ln, row[:-1], feats[k])
     return Dataset(feats, labels)
 
 
@@ -126,15 +131,7 @@ def load_features_csv(path: str) -> np.ndarray:
     rows, width = _data_rows(path)
     feats = np.empty((len(rows), width))
     for k, (ln, row) in enumerate(rows):
-        for j, cell in enumerate(row):
-            try:
-                feats[k, j] = float(cell)
-            except ValueError:
-                raise ParseError(
-                    f"{path}: line {ln}: field {j + 1} is not a number: {cell!r}"
-                ) from None
-        if not np.all(np.isfinite(feats[k])):
-            raise ParseError(f"{path}: line {ln}: features must be finite")
+        _parse_features(path, ln, row, feats[k])
     return feats
 
 

@@ -7,10 +7,9 @@ Two strictly positive definite translation-invariant kernels are provided:
 
 Both take values in (0, 1] and equal 1 exactly when x = x'.  The kernel
 matrix of distinct points is symmetric positive definite; repeated points
-make it singular, so they are rejected by default.
+make it singular, so they are rejected.
 """
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,12 +17,7 @@ from scipy.spatial.distance import cdist, pdist, squareform
 
 from .errors import DefinitenessError, DuplicatePointError, InputError
 
-logger = logging.getLogger(__name__)
-
 KERNEL_FAMILIES = ("gaussian", "matern1")
-
-#: Diagonal shift applied when gram() is asked to regularize a singular matrix.
-JITTER = 1e-8
 
 _METRIC = {"gaussian": "sqeuclidean", "matern1": "cityblock"}
 
@@ -60,19 +54,6 @@ class GramMatrix:
         return self.entries.shape[0]
 
 
-def eval_kernel(spec: KernelSpec, x, xp) -> float:
-    x = np.asarray(x, dtype=float)
-    xp = np.asarray(xp, dtype=float)
-    if x.ndim != 1 or xp.ndim != 1 or x.shape != xp.shape:
-        raise InputError("kernel arguments must be 1-D vectors of equal dimension")
-    diff = x - xp
-    if spec.family == "gaussian":
-        dist = float(diff @ diff)
-    else:
-        dist = float(np.abs(diff).sum())
-    return float(np.exp(-spec.sigma * dist))
-
-
 def cross_gram(spec: KernelSpec, points, others) -> np.ndarray:
     """Rectangular kernel matrix k(points_i, others_j)."""
     pts = np.asarray(points, dtype=float)
@@ -88,14 +69,12 @@ def _kernel_of_distances(spec: KernelSpec, dist: np.ndarray) -> np.ndarray:
     return np.exp(dist, out=dist)
 
 
-def gram(spec: KernelSpec, points, *, jitter: bool = False) -> GramMatrix:
+def gram(spec: KernelSpec, points) -> GramMatrix:
     """Kernel matrix of a point set.
 
     Each unordered pair is evaluated once and mirrored, so the result is
     exactly symmetric with a unit diagonal.  Identical points are rejected
-    with an error naming the offending pair unless ``jitter`` is set, in
-    which case JITTER is added to the diagonal instead (breaking the unit
-    diagonal, which is logged).
+    with an error naming the offending pair.
     """
     pts = np.ascontiguousarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 1:
@@ -107,23 +86,14 @@ def gram(spec: KernelSpec, points, *, jitter: bool = False) -> GramMatrix:
         entries = np.ones((1, 1))
     else:
         cond = pdist(pts, metric=_METRIC[spec.family])
-        if not jitter:
-            zero = np.flatnonzero(cond == 0.0)
-            if zero.size:
-                iu, ju = np.triu_indices(n, k=1)
-                i, j = int(iu[zero[0]]), int(ju[zero[0]])
-                raise DuplicatePointError(
-                    f"points {i} and {j} are identical; the kernel matrix would be "
-                    f"singular (pass jitter=True to regularize)"
-                )
+        zero = np.flatnonzero(cond == 0.0)
+        if zero.size:
+            iu, ju = np.triu_indices(n, k=1)
+            i, j = int(iu[zero[0]]), int(ju[zero[0]])
+            raise DuplicatePointError(
+                f"points {i} and {j} are identical; the kernel matrix would be singular"
+            )
         entries = _kernel_of_distances(spec, squareform(cond))
-    if jitter:
-        entries[np.diag_indices(n)] += JITTER
-        logger.warning(
-            "added %g to the kernel matrix diagonal; diagonal entries are now 1 + %g",
-            JITTER,
-            JITTER,
-        )
     return GramMatrix(entries)
 
 

@@ -54,7 +54,6 @@ class Piece:
 class MarginLoss:
     name: str
     pieces: tuple
-    admissible_at_zero: bool = True
     breakpoints: tuple = field(init=False)
 
     def __post_init__(self):
@@ -133,30 +132,6 @@ def margin_value(loss: MarginLoss, z):
     return float(out[0]) if scalar else out.reshape(zarr.shape)
 
 
-def loss_value(loss: MarginLoss, label, t) -> float:
-    if label not in (1, -1):
-        raise InputError(f"label must be +1 or -1, got {label}")
-    return float(margin_value(loss, label * float(t)))
-
-
-@dataclass(frozen=True)
-class ProxParams:
-    rho: float
-    n: int
-    label: int
-    anchor: float
-
-    def __post_init__(self):
-        if not (self.rho > 0 and np.isfinite(self.rho)):
-            raise InputError(f"rho must be positive, got {self.rho}")
-        if self.n < 1:
-            raise InputError(f"sample count must be at least 1, got {self.n}")
-        if self.label not in (1, -1):
-            raise InputError(f"label must be +1 or -1, got {self.label}")
-        if not np.isfinite(self.anchor):
-            raise InputError("anchor must be finite")
-
-
 def _candidate_margins(loss, v, h):
     """Candidate minimizers in the margin variable, one array per candidate."""
     cands = []
@@ -229,26 +204,3 @@ def prox_vector(loss, rho, n, labels, anchors) -> np.ndarray:
         # is -h/2 for either label.
         return np.where(v == -0.5 * h, -0.5 * h, alpha)
     return prox_vector_enumerated(loss, rho, n, y, u)
-
-
-def prox(loss: MarginLoss, p: ProxParams):
-    """Solve min_a L(y, a)/n + (rho/2)(a - u)^2 exactly.
-
-    Returns (argmin, value).  The value is the objective at the argmin,
-    recomputed from the loss itself.
-    """
-    a = float(
-        prox_vector(
-            loss, p.rho, p.n, np.array([float(p.label)]), np.array([p.anchor])
-        )[0]
-    )
-    val = margin_value(loss, p.label * a) / p.n + 0.5 * p.rho * (a - p.anchor) ** 2
-    return a, float(val)
-
-
-def prox_objective(loss, p: ProxParams, a) -> float:
-    """The subproblem objective at an arbitrary point (used by diagnostics)."""
-    return float(
-        margin_value(loss, p.label * float(a)) / p.n
-        + 0.5 * p.rho * (float(a) - p.anchor) ** 2
-    )

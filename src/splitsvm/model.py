@@ -22,7 +22,6 @@ from .admm import (
     AdmmConfig,
     IterationTrace,
     RhoCondition,
-    _psd_form,
     admm_run,
     c_factor,
     initial_state,
@@ -85,10 +84,14 @@ class TrainedModel:
             )
 
 
-def _prepare(m: TrainedModel, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    squeeze = x.ndim == 1
-    pts = x[None, :] if squeeze else x
+def decision_values(m: TrainedModel, points) -> np.ndarray:
+    """s(x) for each point; a single 1-D point is read as one row.
+
+    Forms PREDICT_BLOCK rows of the cross-kernel matrix at a time so memory
+    does not grow with the batch.
+    """
+    x = np.asarray(points, dtype=float)
+    pts = x[None, :] if x.ndim == 1 else x
     if pts.ndim != 2 or pts.shape[1] != m.inputs.shape[1]:
         raise InputError(
             f"expected points with {m.inputs.shape[1]} features, got shape {x.shape}"
@@ -97,12 +100,6 @@ def _prepare(m: TrainedModel, x) -> np.ndarray:
         raise InputError("prediction inputs must be finite")
     if m.scaling is not None:
         pts = m.scaling.apply(pts)
-    return pts, squeeze
-
-
-def _decisions(m: TrainedModel, pts: np.ndarray) -> np.ndarray:
-    """s(x) for prepared points, forming PREDICT_BLOCK rows of the
-    cross-kernel matrix at a time so memory does not grow with the batch."""
     out = np.empty(pts.shape[0])
     for i in range(0, pts.shape[0], PREDICT_BLOCK):
         block = slice(i, i + PREDICT_BLOCK)
@@ -110,31 +107,9 @@ def _decisions(m: TrainedModel, pts: np.ndarray) -> np.ndarray:
     return out
 
 
-def decision_values(m: TrainedModel, points) -> np.ndarray:
-    pts, _ = _prepare(m, points)
-    return _decisions(m, pts)
-
-
-def decision_value(m: TrainedModel, x) -> float:
-    pts, squeeze = _prepare(m, x)
-    if not squeeze:
-        raise InputError("decision_value expects a single point; use decision_values")
-    return float(_decisions(m, pts)[0])
-
-
-def classify(m: TrainedModel, x) -> int:
-    return 1 if decision_value(m, x) >= 0.0 else -1
-
-
 def predict_labels(m: TrainedModel, points) -> np.ndarray:
     dv = decision_values(m, points)
     return np.where(dv >= 0.0, 1.0, -1.0)
-
-
-def rkhs_norm_sq(A: GramMatrix, c) -> float:
-    """Squared function-space norm c^T A c of the kernel expansion."""
-    c = np.asarray(c, dtype=float)
-    return _psd_form(float(c @ (A.entries @ c)))
 
 
 def rho_condition(A: GramMatrix, cfg: AdmmConfig) -> RhoCondition:
@@ -243,7 +218,7 @@ def train_multistart(
         objective=summary.objective,
         start_index=summary.index,
     )
-    model = TrainedModel(kernel_spec, cfg.lam, data.X, run.coeffs, meta)
+    model = TrainedModel(kernel_spec, cfg.lam, data.X, run.state.c, meta)
     return model, summaries
 
 

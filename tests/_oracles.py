@@ -3,6 +3,9 @@
 Everything here deliberately avoids the candidate-enumeration machinery in
 ``splitsvm.losses``: minima are located by dense grid scans and linear systems
 are solved with dense factorizations, so agreement is meaningful evidence.
+Kernel values, the training objective and the augmented Lagrangian are
+written out from their definitions with ``margin_value`` and plain numpy, not
+through the helpers ``splitsvm.admm`` uses inside its loop.
 """
 
 import numpy as np
@@ -55,3 +58,36 @@ def random_prox_cases(count, seed):
 
 def dense_solve(matrix, b):
     return np.linalg.solve(np.asarray(matrix, dtype=float), np.asarray(b, dtype=float))
+
+
+def eval_kernel(spec, x, xp):
+    """k(x, x') for one pair of 1-D points, from the kernel's definition."""
+    diff = np.asarray(x, dtype=float) - np.asarray(xp, dtype=float)
+    if spec.family == "gaussian":
+        dist = float(np.sum(diff * diff))
+    else:
+        dist = float(np.sum(np.abs(diff)))
+    return float(np.exp(-spec.sigma * dist))
+
+
+def objective_value(loss, labels, A, cfg, c):
+    """Training objective (1/n) sum_i L(y_i, (A c)_i) + lam c^T A c."""
+    c = np.asarray(c, dtype=float)
+    t = A.entries @ c
+    return float(np.mean(margin_value(loss, np.asarray(labels) * t)) + cfg.lam * (c @ t))
+
+
+def lagrangian(loss, labels, A, cfg, st):
+    """Augmented Lagrangian at a state, with the multiplier gamma = 2 lam c:
+
+    F(alpha) + lam c^T A c + gamma^T (alpha - A c) + (rho/2) ||alpha - A c||^2.
+    """
+    t = A.entries @ st.c
+    split = st.alpha - t
+    gamma = 2.0 * cfg.lam * st.c
+    return float(
+        np.mean(margin_value(loss, np.asarray(labels) * st.alpha))
+        + cfg.lam * (st.c @ t)
+        + gamma @ split
+        + 0.5 * cfg.rho * (split @ split)
+    )

@@ -16,14 +16,19 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_solve
 
-from _oracles import dense_solve, grid_prox, prox_subproblem, random_prox_cases
+from _oracles import (
+    dense_solve,
+    grid_prox,
+    lagrangian,
+    prox_subproblem,
+    random_prox_cases,
+)
 from splitsvm.admm import (
     AdmmConfig,
     admm_run,
     admm_step,
     c_factor,
     initial_state,
-    lagrangian,
     stationarity_residual,
 )
 from splitsvm.cli import main as cli_main
@@ -34,12 +39,16 @@ from splitsvm.losses import (
     HINGE,
     LOSSES,
     RAMP,
-    ProxParams,
     get_loss,
-    prox,
+    prox_vector,
     prox_vector_enumerated,
 )
 from splitsvm.model import predict_labels, rho_condition, train_multistart
+
+
+def prox_one(loss, rho, n, label, anchor):
+    """prox_vector on one coordinate."""
+    return float(prox_vector(loss, rho, n, np.array([float(label)]), np.array([anchor]))[0])
 
 
 def report(num, desc, problems):
@@ -61,7 +70,8 @@ def test_c01_prox_matches_grid_oracle_suite():
         loss = get_loss(name)
         for label, rho, n, anchor in random_prox_cases(1000, seed=101 + li):
             n = int(n)
-            a, v = prox(loss, ProxParams(rho=rho, n=n, label=int(label), anchor=anchor))
+            a = prox_one(loss, rho, n, label, anchor)
+            v = float(prox_subproblem(loss, rho, n, label, anchor)(a))
             _, grid_val = grid_prox(loss, rho, n, label, anchor)
             if not v <= grid_val + 1e-6:
                 problems.append(
@@ -102,7 +112,7 @@ def test_c02_closed_form_branch_tables():
             for v, z_expected in branches:
                 anchor = label * v
                 expected = label * z_expected
-                a, _ = prox(loss, ProxParams(rho=rho, n=n, label=label, anchor=anchor))
+                a = prox_one(loss, rho, n, label, anchor)
                 if abs(a - expected) > 1e-12:
                     problems.append(
                         f"{loss.name} y={label} v={v}: got {a}, expected {expected}"
@@ -119,7 +129,7 @@ def test_c02_closed_form_branch_tables():
     # objectives and the smaller minimizer is chosen for either label
     for label in (1, -1):
         anchor = -label * h / 2.0
-        a, _ = prox(RAMP, ProxParams(rho=rho, n=n, label=label, anchor=anchor))
+        a = prox_one(RAMP, rho, n, label, anchor)
         g = prox_subproblem(RAMP, rho, n, label, anchor)
         tie_gap = abs(float(g(-h / 2.0)) - float(g(h / 2.0)))
         if tie_gap > 1e-12:

@@ -4,19 +4,19 @@ import warnings
 import numpy as np
 import pytest
 
+from _oracles import lagrangian, objective_value
 from splitsvm.admm import (
     DESCENT_SLACK,
     AdmmConfig,
     AdmmState,
     IterationTrace,
     TraceRecord,
+    _lagrangian_given,
+    _psd_form,
     admm_run,
     admm_step,
     c_factor,
     initial_state,
-    lagrangian,
-    objective_value,
-    rkhs_step_norm,
     stationarity_residual,
 )
 from splitsvm.errors import DefinitenessError, InputError
@@ -34,6 +34,12 @@ def state(A, alpha, c):
     """An iteration-0 state with alpha and c as given and its A c formed."""
     c = np.asarray(c, dtype=float)
     return AdmmState(alpha=np.asarray(alpha, dtype=float), c=c, ac=A.entries @ c, k=0)
+
+
+def run_lagrangian(loss, y, A, cfg, st):
+    """The augmented Lagrangian as admm_run forms it from a state's A c."""
+    res = st.alpha - st.ac
+    return _lagrangian_given(loss, y, cfg, st, res, float(st.c @ st.ac))
 
 
 def random_instance(n=20, seed=5, spread=4.0):
@@ -84,8 +90,8 @@ def test_lagrangian_at_zero_state_is_loss_at_zero():
     A, y = unit_instance()
     cfg = AdmmConfig(lam=0.25, rho=1.0)
     st = state(A, [0.0], [0.0])
-    assert lagrangian(HINGE, y, A, cfg, st) == 1.0
-    assert lagrangian(TLOG, y, A, cfg, st) == pytest.approx(math.log(2.0))
+    assert run_lagrangian(HINGE, y, A, cfg, st) == 1.0
+    assert run_lagrangian(TLOG, y, A, cfg, st) == pytest.approx(math.log(2.0))
 
 
 def test_lagrangian_equals_objective_on_consistent_states(rng):
@@ -94,7 +100,7 @@ def test_lagrangian_equals_objective_on_consistent_states(rng):
     for _ in range(5):
         c = rng.normal(size=10)
         st = state(A, A.entries @ c, c)
-        lag = lagrangian(PL2, y, A, cfg, st)
+        lag = run_lagrangian(PL2, y, A, cfg, st)
         obj = objective_value(PL2, y, A, cfg, c)
         assert lag == pytest.approx(obj, rel=1e-12)
 
@@ -113,7 +119,7 @@ def test_lagrangian_term_by_term(rng):
         + float(gamma @ (alpha - ac))
         + 0.5 * cfg.rho * float((alpha - ac) @ (alpha - ac))
     )
-    assert lagrangian(TLOG, y, A, cfg, st) == pytest.approx(expected, rel=1e-14)
+    assert run_lagrangian(TLOG, y, A, cfg, st) == pytest.approx(expected, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +192,7 @@ def test_run_stops_at_fixed_point():
     assert out.status == "converged"
     assert len(out.trace) == 1
     assert out.trace.final.residual == 0.0
-    np.testing.assert_array_equal(out.coeffs, np.array([0.5]))
+    np.testing.assert_array_equal(out.state.c, np.array([0.5]))
 
 
 def test_run_honors_iteration_cap():
@@ -206,7 +212,7 @@ def test_run_trace_matches_recomputation():
     out = admm_run(RAMP, y, A, cfg, init)
     final = out.trace.final
     assert final.objective == pytest.approx(
-        objective_value(RAMP, y, A, cfg, out.coeffs), rel=1e-12
+        objective_value(RAMP, y, A, cfg, out.state.c), rel=1e-12
     )
     lag = lagrangian(RAMP, y, A, cfg, out.state)
     assert final.lagrangian == pytest.approx(lag, rel=1e-12)
@@ -223,7 +229,7 @@ def test_run_deterministic_for_equal_seeds():
     a, b = outs
     assert a.status == b.status
     assert len(a.trace) == len(b.trace)
-    np.testing.assert_array_equal(a.coeffs, b.coeffs)
+    np.testing.assert_array_equal(a.state.c, b.state.c)
     for ra, rb in zip(a.trace.records, b.trace.records):
         assert ra == rb
 
@@ -334,25 +340,44 @@ def test_check_rho_condition_values():
 
 
 def test_rkhs_step_norm_identity_kernel():
+    # With A = I the function-space step is the Euclidean step in c.
     A = GramMatrix(np.eye(3))
-    assert rkhs_step_norm(A, [1.0, 2.0, 2.0], [1.0, 0.0, 0.0]) == pytest.approx(
-        math.sqrt(8.0)
-    )
-    assert rkhs_step_norm(A, [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]) == 0.0
+    y = np.array([1.0, -1.0, 1.0])
+    cfg = AdmmConfig(lam=0.5, rho=2.0, max_iter=1)
+    init = state(A, [1.0, 0.0, 0.0], [1.0, 0.0, 0.0])
+    out = admm_run(HINGE, y, A, cfg, init)
+    d = out.state.c - init.c
+    assert out.trace.final.step_norm_H == pytest.approx(math.sqrt(d @ d), rel=1e-15)
+    assert out.trace.final.step_norm_H > 0.0
+    # a fixed point takes a step of exactly zero
+    A1, y1 = unit_instance()
+    fixed = admm_run(HINGE, y1, A1, AdmmConfig(lam=1.0, rho=1.0), state(A1, [0.5], [0.5]))
+    assert fixed.trace.final.step_norm_H == 0.0
 
 
 def test_rkhs_step_norm_general_matrix():
+    # The trace's step_norm_H column is sqrt(d^T A d) for d = c_k - c_{k-1}.
     e = math.exp(-1.0)
     A = GramMatrix(np.array([[1.0, e], [e, 1.0]]))
-    d = np.array([1.0, -1.0])
-    expected = math.sqrt(d @ A.entries @ d)
-    assert rkhs_step_norm(A, d, [0.0, 0.0]) == pytest.approx(expected, rel=1e-14)
+    y = np.array([1.0, -1.0])
+    cfg = AdmmConfig(lam=0.2, rho=1.5, max_iter=5, eps0=1e-300)
+    init = initial_state(A, np.random.default_rng(4))
+    out = admm_run(TLOG, y, A, cfg, init)
+    factor = c_factor(A, cfg)
+    st = init
+    for rec in out.trace.records:
+        nxt = admm_step(TLOG, y, A, cfg, st, factor)
+        d = nxt.c - st.c
+        assert rec.step_norm_H == pytest.approx(math.sqrt(d @ A.entries @ d), rel=1e-10)
+        st = nxt
+    assert len(out.trace) == 5
 
 
 def test_rkhs_step_norm_rejects_indefinite():
-    A = GramMatrix(np.array([[0.0, 2.0], [2.0, 0.0]]))
+    A = np.array([[0.0, 2.0], [2.0, 0.0]])
+    d = np.array([1.0, -1.0])
     with pytest.raises(DefinitenessError):
-        rkhs_step_norm(A, [1.0, -1.0], [0.0, 0.0])
+        _psd_form(float(d @ (A @ d)))
 
 
 def test_stationarity_residual_zero_at_fixed_point():

@@ -1,3 +1,5 @@
+import dataclasses
+import inspect
 import os
 
 import pytest
@@ -52,9 +54,31 @@ def test_public_api_importable():
     import splitsvm
 
     for name in (
-        "AdmmConfig", "admm_run", "train_multistart", "gram", "min_eigenvalue",
-        "prox", "prox_vector", "get_loss", "generate_synthetic",
-        "load_model", "save_model", "decision_values", "stationarity_residual",
+        "AdmmConfig", "admm_run", "admm_step", "train_multistart", "gram",
+        "min_eigenvalue", "rho_condition", "prox_vector", "get_loss",
+        "generate_synthetic", "load_model", "save_model", "decision_values",
+        "predict_labels", "stationarity_residual",
     ):
         assert hasattr(splitsvm, name), name
     assert splitsvm.__version__
+
+
+def test_removed_api_stays_removed():
+    import splitsvm
+    import splitsvm.admm
+    import splitsvm.kernels
+    import splitsvm.losses
+    import splitsvm.model
+
+    for mod in (splitsvm, splitsvm.admm, splitsvm.kernels, splitsvm.losses, splitsvm.model):
+        for name in (
+            "prox", "ProxParams", "prox_objective", "loss_value", "eval_kernel",
+            "classify", "decision_value", "rkhs_norm_sq", "rkhs_step_norm",
+            "lagrangian", "objective_value", "JITTER",
+        ):
+            assert not hasattr(mod, name), f"{mod.__name__}.{name}"
+    assert not hasattr(splitsvm.HINGE, "admissible_at_zero")
+    assert "jitter" not in inspect.signature(splitsvm.gram).parameters
+    assert [f.name for f in dataclasses.fields(splitsvm.admm.AdmmRunResult)] == [
+        "state", "trace", "status",
+    ]

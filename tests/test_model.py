@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from splitsvm.admm import AdmmConfig, admm_run, initial_state
+from splitsvm.admm import AdmmConfig, _psd_form, admm_run, initial_state
 from splitsvm.data import Dataset, generate_synthetic, standardize
 from splitsvm.errors import (
     DefinitenessError,
@@ -18,12 +18,9 @@ from splitsvm.model import (
     rho_condition,
     ModelMeta,
     TrainedModel,
-    classify,
-    decision_value,
     decision_values,
     load_model,
     predict_labels,
-    rkhs_norm_sq,
     save_model,
     train_multistart,
 )
@@ -47,9 +44,10 @@ def toy_model(coeffs=(2.0,), inputs=((0.0, 0.0),), scaling=None, sigma=1.0):
 
 
 def test_decision_value_at_training_point():
+    # A single 1-D point is read as one row.
     m = toy_model(coeffs=(2.0,))
-    assert decision_value(m, [0.0, 0.0]) == 2.0
-    assert decision_value(m, [1.0, 0.0]) == pytest.approx(2.0 * np.exp(-1.0))
+    assert decision_values(m, [0.0, 0.0]).tolist() == [2.0]
+    assert decision_values(m, [1.0, 0.0])[0] == pytest.approx(2.0 * np.exp(-1.0))
 
 
 def test_decision_values_at_training_points_equal_gram_product(rng):
@@ -85,20 +83,14 @@ def test_decision_values_linear_in_coefficients(rng):
 
 def test_classify_tie_goes_positive():
     m = toy_model(coeffs=(0.0,))
-    assert classify(m, [5.0, 5.0]) == 1
-    assert decision_value(m, [5.0, 5.0]) == 0.0
+    assert predict_labels(m, [5.0, 5.0]).tolist() == [1.0]
+    assert decision_values(m, [5.0, 5.0]).tolist() == [0.0]
 
 
 def test_classify_signs():
     m = toy_model(coeffs=(-3.0,))
-    assert classify(m, [0.0, 0.0]) == -1
+    assert predict_labels(m, [0.0, 0.0]).tolist() == [-1.0]
     assert predict_labels(m, [[0.0, 0.0], [50.0, 50.0]]).tolist() == [-1.0, 1.0]
-
-
-def test_decision_value_rejects_batches():
-    m = toy_model()
-    with pytest.raises(InputError):
-        decision_value(m, [[0.0, 0.0], [1.0, 1.0]])
 
 
 def test_prediction_input_validation():
@@ -113,7 +105,7 @@ def test_scaling_applied_before_kernel():
     scaling = FeatureScaling(np.array([1.0, 1.0]), np.array([2.0, 2.0]))
     m = toy_model(coeffs=(1.0,), inputs=((0.0, 0.0),), scaling=scaling)
     # the raw point (1, 1) scales to the stored input (0, 0)
-    assert decision_value(m, [1.0, 1.0]) == 1.0
+    assert decision_values(m, [1.0, 1.0]).tolist() == [1.0]
 
 
 def test_model_shape_validation():
@@ -122,10 +114,17 @@ def test_model_shape_validation():
 
 
 def test_rkhs_norm_sq():
-    A = GramMatrix(np.array([[1.0, 0.5], [0.5, 1.0]]))
-    assert rkhs_norm_sq(A, [1.0, 0.0]) == 1.0
-    assert rkhs_norm_sq(A, [1.0, 1.0]) == pytest.approx(3.0)
-    assert rkhs_norm_sq(A, [0.0, 0.0]) == 0.0
+    # c^T A c through the PSD check the run applies to its step norms.
+    A = np.array([[1.0, 0.5], [0.5, 1.0]])
+
+    def norm_sq(c):
+        c = np.array(c)
+        return _psd_form(float(c @ (A @ c)))
+
+    assert norm_sq([1.0, 0.0]) == 1.0
+    assert norm_sq([1.0, 1.0]) == pytest.approx(3.0)
+    assert norm_sq([0.0, 0.0]) == 0.0
+    assert _psd_form(-1e-13) == 0.0  # rounding below zero is clamped
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +146,7 @@ def test_single_start_equals_direct_run(small_split):
     model, summaries = train_multistart(train, spec, HINGE, cfg, starts=1, seed=77)
     init = initial_state(A, np.random.default_rng(77))
     direct = admm_run(HINGE, train.y, A, cfg, init)
-    np.testing.assert_array_equal(model.coeffs, direct.coeffs)
+    np.testing.assert_array_equal(model.coeffs, direct.state.c)
     assert summaries[0].iterations == direct.state.k
     assert model.meta.start_index == 0
     assert model.meta.loss_name == "hinge"
