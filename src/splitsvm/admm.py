@@ -16,7 +16,8 @@ One iteration performs
      (A c)_i - gamma_i / rho, solved exactly (losses.prox_vector);
   2. c update: solve (2 lam I + rho A) c = rho alpha + gamma with a Cholesky
      factor of the fixed matrix (c_factor, built once per train_multistart
-     and shared by its starts) applied as a correction to the previous c;
+     and shared by its starts), applied by LAPACK potrs (c_solve) as a
+     correction to the previous c;
   3. multiplier update: gamma = 2 lam c, the closed form the exact c update
      implies for an invertible A.  The state therefore stores c only, and
      gamma is formed as 2 lam c wherever it is read.
@@ -33,7 +34,8 @@ from array import array
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor
+from scipy.linalg.lapack import dpotrs
 
 from ._io import write_text_atomic
 from .errors import DefinitenessError, InputError
@@ -158,7 +160,9 @@ def initial_state(A: GramMatrix, rng: np.random.Generator) -> AdmmState:
 
 
 def _risk(loss, labels, t) -> float:
-    return float(np.mean(margin_value(loss, labels * t)))
+    # np.mean's arithmetic (pairwise sum, then divide) without its dispatch.
+    values = margin_value(loss, labels * t)
+    return float(np.add.reduce(values, axis=None) / values.size)
 
 
 def _lagrangian_given(loss, labels, cfg, st, res, cac) -> float:
@@ -187,6 +191,19 @@ def c_factor(A: GramMatrix, cfg: AdmmConfig):
         raise DefinitenessError(f"cannot factor 2 lam I + rho A: {exc}") from None
 
 
+def c_solve(factor, b) -> np.ndarray:
+    """Solve (2 lam I + rho A) x = b with ``factor`` = c_factor(A, cfg).
+
+    Calls LAPACK potrs on the factor directly: the same solve, bit for bit,
+    as scipy.linalg.cho_solve, without its argument checks.
+    """
+    chol, lower = factor
+    x, info = dpotrs(chol, b, lower=lower)
+    if info != 0:
+        raise InputError(f"potrs rejected argument {-info} of the c-solve")
+    return x
+
+
 def admm_step(loss: MarginLoss, labels, A: GramMatrix, cfg: AdmmConfig, st: AdmmState,
               factor) -> AdmmState:
     """One full iteration (alpha, c, gamma); the input state is not modified.
@@ -204,7 +221,7 @@ def admm_step(loss: MarginLoss, labels, A: GramMatrix, cfg: AdmmConfig, st: Admm
     alpha = prox_vector(loss, cfg.rho, n, labels, anchors)
     b = cfg.rho * alpha + gamma
     # Solve for the change from st.c: an exact fixed point stays bitwise fixed.
-    c = st.c + cho_solve(factor, b - (gamma + cfg.rho * st.ac), check_finite=False)
+    c = st.c + c_solve(factor, b - (gamma + cfg.rho * st.ac))
     return AdmmState(alpha=alpha, c=c, ac=A.entries @ c, k=st.k + 1)
 
 

@@ -19,15 +19,19 @@ piecewise, so the global minimizer is found exactly by enumerating, per
 piece, the stationary points of the quadratic-plus-piece restriction, the
 breakpoints, and taking the best candidate.  Affine pieces with slope s give
 the stationary point z = v - s / (rho * n); the logarithmic piece gives the
-real roots of z^2 - (2 + v) z + 2 v + 1 / (rho * n) = 0.  For the hinge and
-ramp losses the enumeration collapses to closed-form branch tables, kept
-here as fast paths.
+real roots of z^2 - (2 + v) z + 2 v + 1 / (rho * n) = 0.  Each of the four
+named losses has a closed-form table: hinge and ramp collapse to branch
+tables, and pl2 and tlog evaluate the enumerator's candidates as fixed
+array expressions.  The enumerator stays as the oracle the tables are
+tested against and as the solver for any other MarginLoss.
 
 Ties within TIE_TOL of the minimal objective resolve to the smallest
-minimizer a.
+minimizer a.  A NaN anchor gives a NaN minimizer, and a NaN margin a NaN
+loss.
 """
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -118,9 +122,27 @@ def get_loss(name: str) -> MarginLoss:
 def margin_value(loss: MarginLoss, z):
     """Loss as a function of the margin z; accepts scalars or arrays."""
     zarr = np.asarray(z, dtype=float)
-    scalar = zarr.ndim == 0
-    zflat = np.atleast_1d(zarr)
-    out = np.empty_like(zflat)
+    # One expression per named loss, equal bit for bit to the piece loop
+    # below on finite margins: the slopes are 0, -1 and -2, so
+    # intercept + slope * z rounds exactly like these.
+    if loss == HINGE:
+        out = np.maximum(1.0 - zarr, 0.0)
+    elif loss == PL2:
+        out = np.where(zarr < 0.0, 2.0 - zarr, np.maximum(2.0 - 2.0 * zarr, 0.0))
+    elif loss == TLOG:
+        out = np.log(2.0 - np.minimum(zarr, 1.0))
+    elif loss == RAMP:
+        out = np.minimum(np.maximum(1.0 - zarr, 0.0), 1.0)
+    else:
+        out = _piece_values(loss, zarr)
+    return float(out) if zarr.ndim == 0 else out
+
+
+def _piece_values(loss, z):
+    """margin_value by a loop over the pieces; no piece holds a NaN margin,
+    which keeps its NaN fill."""
+    zflat = np.atleast_1d(z)
+    out = np.full_like(zflat, np.nan)
     for piece in loss.pieces:
         mask = zflat >= piece.lo
         if piece.hi < _INF:
@@ -129,7 +151,7 @@ def margin_value(loss: MarginLoss, z):
             out[mask] = piece.intercept + piece.slope * zflat[mask]
         else:
             out[mask] = np.log(2.0 - zflat[mask])
-    return float(out[0]) if scalar else out.reshape(zarr.shape)
+    return out.reshape(z.shape)
 
 
 def _candidate_margins(loss, v, h):
@@ -146,7 +168,7 @@ def _candidate_margins(loss, v, h):
             root = np.sqrt(np.maximum(disc, 0.0))
             for sign in (-1.0, 1.0):
                 z = 0.5 * ((2.0 + v) + sign * root)
-                z = np.where(disc >= 0.0, z, piece.hi)
+                z = np.where(disc < 0.0, piece.hi, z)
                 cands.append(np.clip(z, piece.lo, piece.hi))
     for b in loss.breakpoints:
         cands.append(np.full_like(v, b))
@@ -163,8 +185,16 @@ def prox_vector_enumerated(loss, rho, n, labels, anchors) -> np.ndarray:
     vals = margin_value(loss, zs) / n + 0.5 * rho * (zs - v[..., None]) ** 2
     alphas = y[..., None] * zs
     best = np.min(vals, axis=-1, keepdims=True)
-    eligible = vals <= best + TIE_TOL
-    return np.min(np.where(eligible, alphas, _INF), axis=-1)
+    # A NaN anchor makes every objective NaN, so no candidate is dropped and
+    # the NaN candidates carry through the minimum.
+    return np.min(np.where(vals > best + TIE_TOL, _INF, alphas), axis=-1)
+
+
+def _smallest_tied(y, zs, vals):
+    """The enumerator's rule on fixed candidates: the smallest a = y z among
+    the margins zs whose objectives vals lie within TIE_TOL of the best."""
+    limit = reduce(np.minimum, vals) + TIE_TOL
+    return reduce(np.minimum, [np.where(f > limit, _INF, y * z) for z, f in zip(zs, vals)])
 
 
 def _hinge_closed(v, h):
@@ -173,20 +203,56 @@ def _hinge_closed(v, h):
 
 def _ramp_closed(v, h):
     # Valid branch table only for 0 < h < 2.
-    z = np.select(
-        [v <= -0.5 * h, v <= 1.0 - h, v < 1.0],
-        [v, v + h, np.ones_like(v)],
-        default=v,
+    return np.where(v <= -0.5 * h, v, np.where(v <= 1.0 - h, v + h, np.where(v < 1.0, 1.0, v)))
+
+
+def _pl2_closed(y, v, h, rho, n):
+    # The enumerator's candidates for PL2: the clipped stationary point of
+    # each piece, then the breakpoints 0 and 1.  Each objective repeats the
+    # enumerator's operations, with the loss written out (2 at z = 0, 0 for
+    # z >= 1), so it rounds the same.
+    c = 0.5 * rho
+    z_neg = np.minimum(v + h, 0.0)
+    z_mid = np.minimum(np.maximum(v + 2.0 * h, 0.0), 1.0)
+    z_flat = np.maximum(v, 1.0)
+    vals = (
+        (2.0 - z_neg) / n + c * (z_neg - v) ** 2,
+        (2.0 - 2.0 * z_mid) / n + c * (z_mid - v) ** 2,
+        c * (z_flat - v) ** 2,
+        2.0 / n + c * v ** 2,
+        c * (1.0 - v) ** 2,
     )
-    return z
+    return _smallest_tied(y, (z_neg, z_mid, z_flat, 0.0, 1.0), vals)
+
+
+def _tlog_closed(y, v, h, rho, n):
+    # The enumerator's candidates for TLOG: both clipped roots of the log
+    # piece (1 when there is no real root), the flat piece, the breakpoint.
+    c = 0.5 * rho
+    disc = (2.0 - v) ** 2 - 4.0 * h
+    root = np.sqrt(np.maximum(disc, 0.0))
+    no_root = disc < 0.0
+    s = 2.0 + v
+    z_small = np.minimum(np.where(no_root, 1.0, 0.5 * (s - root)), 1.0)
+    z_large = np.minimum(np.where(no_root, 1.0, 0.5 * (s + root)), 1.0)
+    z_flat = np.maximum(v, 1.0)
+    vals = (
+        np.log(2.0 - z_small) / n + c * (z_small - v) ** 2,
+        np.log(2.0 - z_large) / n + c * (z_large - v) ** 2,
+        c * (z_flat - v) ** 2,
+        c * (1.0 - v) ** 2,
+    )
+    return _smallest_tied(y, (z_small, z_large, z_flat, 1.0), vals)
 
 
 def prox_vector(loss, rho, n, labels, anchors) -> np.ndarray:
-    """Elementwise subproblem solutions; closed forms where available.
+    """Elementwise subproblem solutions; closed forms for the named losses.
 
     ``labels`` and ``anchors`` are broadcast-compatible arrays; the result
-    has their common shape.  Identical to prox_vector_enumerated everywhere,
-    including the smallest-minimizer tie rule.
+    has their common shape.  The pl2 and tlog tables equal
+    prox_vector_enumerated bit for bit, tie rule included; the hinge and
+    ramp branch tables agree with it except on anchors whose candidates are
+    within TIE_TOL of a tie without being equal.
     """
     if not (rho > 0 and np.isfinite(rho)):
         raise InputError(f"rho must be positive, got {rho}")
@@ -196,9 +262,13 @@ def prox_vector(loss, rho, n, labels, anchors) -> np.ndarray:
     u = np.asarray(anchors, dtype=float)
     h = 1.0 / (rho * n)
     v = y * u
-    if loss.name == "hinge":
+    if loss == HINGE:
         return y * _hinge_closed(v, h)
-    if loss.name == "ramp" and h < 2.0:
+    if loss == PL2:
+        return _pl2_closed(y, v, h, rho, n)
+    if loss == TLOG:
+        return _tlog_closed(y, v, h, rho, n)
+    if loss == RAMP and h < 2.0:
         alpha = y * _ramp_closed(v, h)
         # At v = -h/2 the flat and sloped pieces tie; the smaller minimizer
         # is -h/2 for either label.

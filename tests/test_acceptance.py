@@ -14,7 +14,6 @@ import time
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_solve
 
 from _oracles import (
     dense_solve,
@@ -25,9 +24,9 @@ from _oracles import (
 )
 from splitsvm.admm import (
     AdmmConfig,
-    admm_run,
     admm_step,
     c_factor,
+    c_solve,
     initial_state,
     stationarity_residual,
 )
@@ -37,8 +36,9 @@ from splitsvm.experiments import size_scaling_table
 from splitsvm.kernels import KernelSpec, gram, min_eigenvalue
 from splitsvm.losses import (
     HINGE,
-    LOSSES,
+    PL2,
     RAMP,
+    TLOG,
     get_loss,
     prox_vector,
     prox_vector_enumerated,
@@ -86,7 +86,8 @@ def test_c01_prox_matches_grid_oracle_suite():
 
 
 # ---------------------------------------------------------------------------
-# 2. hinge and ramp branch tables, branch by branch, both labels
+# 2. closed-form tables: hinge and ramp branch by branch, pl2 and tlog bit
+#    for bit against the enumerator, both labels
 # ---------------------------------------------------------------------------
 
 
@@ -142,8 +143,37 @@ def test_c02_closed_form_branch_tables():
         if a != ref:
             problems.append(f"ramp tie y={label}: closed form {a} != enumerator {ref}")
 
-    report(2, "hinge/ramp branch tables (both labels, tie point) match the "
-              "generic enumerator", problems)
+    # pl2 and tlog evaluate the enumerator's candidates in closed form, so
+    # they must agree bit for bit everywhere, including on the anchors where
+    # two candidates tie and the smaller a wins (h >= 2 included).
+    rng = np.random.default_rng(202)
+    grid = np.concatenate([np.linspace(-4.0, 4.0, 8001), rng.uniform(-10.0, 10.0, 2000)])
+    for rho, n in ((5.0, 300), (1.0, 1000), (0.8, 5), (0.05, 300), (0.5, 1), (0.1, 1)):
+        h = 1.0 / (rho * n)
+        ties = {
+            PL2: [0.0, 1.0, h, -h, 1.0 - h, 1.0 - 2.0 * h, -h / 2.0],
+            TLOG: [1.0, 2.0 - 2.0 * np.sqrt(h)],
+        }
+        for loss, points in ties.items():
+            pts = np.array(points)
+            near = np.concatenate([pts, np.nextafter(pts, np.inf), np.nextafter(pts, -np.inf),
+                                   pts + 1e-13, pts - 1e-13])
+            v = np.concatenate([grid, near])
+            for label in (1.0, -1.0):
+                y = np.full_like(v, label)
+                fast = prox_vector(loss, rho, n, y, label * v)
+                ref = prox_vector_enumerated(loss, rho, n, y, label * v)
+                diff = np.flatnonzero(fast.view(np.int64) != ref.view(np.int64))
+                if diff.size:
+                    i = diff[0]
+                    problems.append(
+                        f"{loss.name} rho={rho} n={n} y={label}: {diff.size} anchors differ, "
+                        f"first v={v[i]!r}: table {fast[i]!r} != enumerator {ref[i]!r}"
+                    )
+
+    report(2, "hinge/ramp branch tables (both labels, tie point) and pl2/tlog "
+              "tables (bit for bit on grids and ties) match the generic "
+              "enumerator", problems)
 
 
 # ---------------------------------------------------------------------------
@@ -162,7 +192,7 @@ def test_c03_cg_matches_dense_solver():
         A = gram(KernelSpec("gaussian", 1.0), pts)
         m = 2.0 * lam * np.eye(n) + rho * A.entries
         b = rng.standard_normal(n)
-        x = cho_solve(c_factor(A, AdmmConfig(lam=lam, rho=rho)), b)
+        x = c_solve(c_factor(A, AdmmConfig(lam=lam, rho=rho)), b)
         ref = dense_solve(m, b)
         rel = float(np.linalg.norm(x - ref) / np.linalg.norm(ref))
         resid = float(np.linalg.norm(b - m @ x) / np.linalg.norm(b))

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from _oracles import grid_prox, prox_subproblem, random_prox_cases
@@ -35,6 +35,11 @@ def prox_one(loss, rho, n, label, anchor):
     """prox_vector on one coordinate: (argmin, oracle objective there)."""
     a = float(prox_vector(loss, rho, n, np.array([float(label)]), np.array([float(anchor)]))[0])
     return a, float(prox_subproblem(loss, rho, n, label, anchor)(a))
+
+
+def bits(x):
+    """The IEEE bit patterns of x, so that comparisons see -0.0 and NaNs."""
+    return np.asarray(x, dtype=float).view(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +98,55 @@ def test_margin_value_scalar_returns_float():
     out = margin_value(HINGE, 0.5)
     assert isinstance(out, float)
     assert out == 0.5
+
+
+@pytest.mark.parametrize("loss", ALL_LOSSES, ids=lambda l: l.name)
+def test_margin_value_expression_matches_piece_loop(loss, rng):
+    # A copy under another name has the same pieces but no per-loss
+    # expression, so margin_value takes the piece loop for it.
+    copy = MarginLoss(loss.name + "-pieces", loss.pieces)
+    z = np.concatenate([
+        [0.0, -0.0, 1.0, 1.0 - 1e-16, 1.0 + 1e-16, 5e-324, -5e-324, 2.0,
+         1e300, -1e300, -1.0, 0.5],
+        rng.uniform(-5.0, 5.0, 5000),
+        rng.standard_normal(200) * 1e-300,
+    ])
+    np.testing.assert_array_equal(bits(margin_value(loss, z)), bits(margin_value(copy, z)))
+    assert bits(margin_value(loss, -0.0)) == bits(margin_value(copy, -0.0))
+
+
+@pytest.mark.parametrize("loss", ALL_LOSSES, ids=lambda l: l.name)
+def test_nan_margin_gives_nan_loss(loss):
+    z = np.array([np.nan, 0.5, np.nan, 2.0])
+    for variant in (loss, MarginLoss(loss.name + "-pieces", loss.pieces)):
+        out = margin_value(variant, z)
+        np.testing.assert_array_equal(np.isnan(out), [True, False, True, False])
+        np.testing.assert_array_equal(out[[1, 3]], margin_value(loss, z[[1, 3]]))
+        assert math.isnan(margin_value(variant, math.nan))
+
+
+@pytest.mark.parametrize("loss", ALL_LOSSES, ids=lambda l: l.name)
+def test_nan_anchor_gives_nan_alpha(loss):
+    labels = np.array([1.0, -1.0, 1.0, -1.0])
+    anchors = np.array([np.nan, np.nan, 0.3, -0.3])
+    for rho, n in ((1.0, 2), (0.1, 1)):  # h = 0.5 and h = 10
+        for prox in (prox_vector, prox_vector_enumerated):
+            out = prox(loss, rho, n, labels, anchors)
+            np.testing.assert_array_equal(np.isnan(out), [True, True, False, False])
+
+
+def test_dispatch_is_on_pieces_not_name():
+    # A loss named "hinge" with the ramp's pieces must not get the hinge
+    # table or the hinge expression.
+    impostor = MarginLoss("hinge", RAMP.pieces)
+    labels = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
+    anchors = np.array([-1.0, -0.3, 0.75, 1.0, 0.3, -0.75])
+    out = prox_vector(impostor, 0.8, 5, labels, anchors)
+    np.testing.assert_array_equal(out, prox_vector_enumerated(impostor, 0.8, 5, labels, anchors))
+    np.testing.assert_array_equal(out, prox_vector(RAMP, 0.8, 5, labels, anchors))
+    assert out[0] == -1.0  # the ramp's flat piece keeps the anchor
+    z = np.array([-3.0, 0.25, 2.0])
+    np.testing.assert_array_equal(margin_value(impostor, z), [1.0, 0.75, 0.0])
 
 
 @pytest.mark.parametrize("loss", ALL_LOSSES, ids=lambda l: l.name)
@@ -224,7 +278,7 @@ def test_prox_objective_matches_manual():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("loss", [HINGE, RAMP], ids=lambda l: l.name)
+@pytest.mark.parametrize("loss", ALL_LOSSES, ids=lambda l: l.name)
 def test_closed_form_matches_enumerator_random(loss, rng):
     for _ in range(200):
         rho = float(rng.uniform(0.01, 10.0))
@@ -233,7 +287,7 @@ def test_closed_form_matches_enumerator_random(loss, rng):
         anchors = rng.uniform(-10.0, 10.0, size=50)
         fast = prox_vector(loss, rho, n, labels, anchors)
         slow = prox_vector_enumerated(loss, rho, n, labels, anchors)
-        np.testing.assert_array_equal(fast, slow)
+        np.testing.assert_array_equal(bits(fast), bits(slow))
 
 
 def test_ramp_wide_prox_falls_back_to_enumerator(rng):

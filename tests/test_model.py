@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from splitsvm.admm import AdmmConfig, _psd_form, admm_run, initial_state
-from splitsvm.data import Dataset, generate_synthetic, standardize
+from splitsvm.data import generate_synthetic, standardize
 from splitsvm.errors import (
     DefinitenessError,
     FormatVersionError,
