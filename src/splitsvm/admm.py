@@ -16,11 +16,17 @@ One iteration performs
      (A c)_i - gamma_i / rho, solved exactly (losses.prox_vector);
   2. c update: solve (2 lam I + rho A) c = rho alpha + gamma with a Cholesky
      factor of the fixed matrix (c_factor, built once per train_multistart
-     and shared by its starts), applied by LAPACK potrs (c_solve) as a
-     correction to the previous c;
+     and shared by its starts), applied by two BLAS triangular solves
+     (trsv, in c_solve) as a correction to the previous c;
   3. multiplier update: gamma = 2 lam c, the closed form the exact c update
      implies for an invertible A.  The state therefore stores c only, and
      gamma is formed as 2 lam c wherever it is read.
+
+The product A c is formed once per iteration by BLAS symv (a_dot), which
+reads the same triangle of A that c_factor factors.  Both level-2 calls
+read their N x N operand in place: GramMatrix keeps its entries
+C-contiguous, so A.entries.T is the Fortran-ordered view symv takes, and
+the factor is Fortran-ordered.
 
 The loop stops when ||alpha - A c||_2 < eps0, or as "diverged" when the
 objective or residual is no longer finite.  When rho exceeds the
@@ -35,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor
-from scipy.linalg.lapack import dpotrs
+from scipy.linalg.blas import dsymv, dtrsv
 
 from ._io import write_text_atomic
 from .errors import DefinitenessError, InputError
@@ -46,6 +52,10 @@ from .losses import MarginLoss, margin_value, prox_vector
 DESCENT_SLACK = 1e-9
 
 RHO_POLICIES = ("off", "warn", "error")
+
+#: The triangle of A that c_factor factors and a_dot reads (False: upper,
+#: in the Fortran view A.entries.T).
+_LOWER = False
 
 
 @dataclass(frozen=True)
@@ -155,7 +165,7 @@ class AdmmRunResult:
 def initial_state(A: GramMatrix, rng: np.random.Generator) -> AdmmState:
     """Random start: c ~ Uniform[-10, 10]^n with alpha = A c."""
     c0 = rng.uniform(-10.0, 10.0, A.size)
-    ac = A.entries @ c0
+    ac = a_dot(A, c0)
     return AdmmState(alpha=ac, c=c0, ac=ac, k=0)
 
 
@@ -175,18 +185,23 @@ def _lagrangian_given(loss, labels, cfg, st, res, cac) -> float:
     )
 
 
+def a_dot(A: GramMatrix, c) -> np.ndarray:
+    """The product A c by BLAS symv, reading the triangle c_factor factors."""
+    return dsymv(1.0, A.entries.T, c, lower=_LOWER)
+
+
 def c_factor(A: GramMatrix, cfg: AdmmConfig):
     """Cholesky factor of M = 2 lam I + rho A, the matrix of every c-update.
 
     The factor is the only N x N buffer this allocates: rho A is formed
-    transposed (Fortran order, which LAPACK factors in place) and its
-    diagonal shifted.  Raises DefinitenessError when M is not positive
-    definite.
+    transposed (Fortran order, which LAPACK factors in place, and which
+    c_solve's trsv reads without a copy) and its diagonal shifted.  Raises
+    DefinitenessError when M is not positive definite.
     """
     m = (cfg.rho * A.entries).T
     m[np.diag_indices_from(m)] += 2.0 * cfg.lam
     try:
-        return cho_factor(m, overwrite_a=True, check_finite=False)
+        return cho_factor(m, lower=_LOWER, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise DefinitenessError(f"cannot factor 2 lam I + rho A: {exc}") from None
 
@@ -194,14 +209,13 @@ def c_factor(A: GramMatrix, cfg: AdmmConfig):
 def c_solve(factor, b) -> np.ndarray:
     """Solve (2 lam I + rho A) x = b with ``factor`` = c_factor(A, cfg).
 
-    Calls LAPACK potrs on the factor directly: the same solve, bit for bit,
-    as scipy.linalg.cho_solve, without its argument checks.
+    ``factor`` is a cho_factor tuple (F, lower).  Two BLAS triangular
+    solves: with M = U^T U (upper) they are U^T y = b, then U x = y; with
+    M = L L^T (lower), L y = b, then L^T x = y.  ``b`` is not modified.
     """
     chol, lower = factor
-    x, info = dpotrs(chol, b, lower=lower)
-    if info != 0:
-        raise InputError(f"potrs rejected argument {-info} of the c-solve")
-    return x
+    y = dtrsv(chol, b, lower=lower, trans=0 if lower else 1)
+    return dtrsv(chol, y, lower=lower, trans=1 if lower else 0, overwrite_x=1)
 
 
 def admm_step(loss: MarginLoss, labels, A: GramMatrix, cfg: AdmmConfig, st: AdmmState,
@@ -209,8 +223,8 @@ def admm_step(loss: MarginLoss, labels, A: GramMatrix, cfg: AdmmConfig, st: Admm
     """One full iteration (alpha, c, gamma); the input state is not modified.
 
     ``factor`` is c_factor(A, cfg).  Reads A c from ``st.ac`` and returns
-    the new state with ``ac = A @ c``, so a loop of steps forms that product
-    once per iteration.
+    the new state with ``ac = a_dot(A, c)``, so a loop of steps forms that
+    product once per iteration.
     """
     labels = np.asarray(labels, dtype=float)
     n = A.size
@@ -222,7 +236,7 @@ def admm_step(loss: MarginLoss, labels, A: GramMatrix, cfg: AdmmConfig, st: Admm
     b = cfg.rho * alpha + gamma
     # Solve for the change from st.c: an exact fixed point stays bitwise fixed.
     c = st.c + c_solve(factor, b - (gamma + cfg.rho * st.ac))
-    return AdmmState(alpha=alpha, c=c, ac=A.entries @ c, k=st.k + 1)
+    return AdmmState(alpha=alpha, c=c, ac=a_dot(A, c), k=st.k + 1)
 
 
 def _psd_form(q: float) -> float:
@@ -241,8 +255,8 @@ def stationarity_residual(loss, labels, A: GramMatrix, cfg: AdmmConfig, st: Admm
     at A c - gamma / rho, i.e. when the state is a stationary point.
     """
     labels = np.asarray(labels, dtype=float)
-    ac = A.entries @ st.c
-    split = float(np.max(np.abs(st.alpha - ac))) if A.size else 0.0
+    ac = a_dot(A, st.c)
+    split = float(np.max(np.abs(st.alpha - ac)))
     anchors = ac - (2.0 * cfg.lam * st.c) / cfg.rho
     fixed = prox_vector(loss, cfg.rho, A.size, labels, anchors)
     return max(split, float(np.max(np.abs(st.alpha - fixed))))

@@ -38,14 +38,20 @@ class KernelSpec:
 
 @dataclass
 class GramMatrix:
-    """Dense symmetric kernel matrix."""
+    """Dense symmetric kernel matrix.
+
+    The entries are stored C-contiguous, so ``entries.T`` is the Fortran
+    view that BLAS reads without a copy.
+    """
 
     entries: np.ndarray
 
     def __post_init__(self):
-        self.entries = np.asarray(self.entries, dtype=float)
+        self.entries = np.ascontiguousarray(self.entries, dtype=float)
         if self.entries.ndim != 2 or self.entries.shape[0] != self.entries.shape[1]:
             raise InputError("kernel matrix must be square")
+        if self.entries.size == 0:
+            raise InputError("kernel matrix must be nonempty")
         if not np.all(np.isfinite(self.entries)):
             raise InputError("kernel matrix entries must be finite")
 

@@ -140,14 +140,17 @@ def margin_value(loss: MarginLoss, z):
 
 def _piece_values(loss, z):
     """margin_value by a loop over the pieces; no piece holds a NaN margin,
-    which keeps its NaN fill."""
+    which keeps its NaN fill.  A flat piece takes its intercept, also at an
+    infinite margin."""
     zflat = np.atleast_1d(z)
     out = np.full_like(zflat, np.nan)
     for piece in loss.pieces:
         mask = zflat >= piece.lo
         if piece.hi < _INF:
             mask &= zflat < piece.hi
-        if piece.kind == "affine":
+        if piece.kind == "affine" and piece.slope == 0.0:
+            out[mask] = piece.intercept
+        elif piece.kind == "affine":
             out[mask] = piece.intercept + piece.slope * zflat[mask]
         else:
             out[mask] = np.log(2.0 - zflat[mask])

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor
 
 from _oracles import lagrangian, objective_value
 from splitsvm.admm import (
@@ -13,9 +14,11 @@ from splitsvm.admm import (
     TraceRecord,
     _lagrangian_given,
     _psd_form,
+    a_dot,
     admm_run,
     admm_step,
     c_factor,
+    c_solve,
     initial_state,
     stationarity_residual,
 )
@@ -33,7 +36,7 @@ def unit_instance():
 def state(A, alpha, c):
     """An iteration-0 state with alpha and c as given and its A c formed."""
     c = np.asarray(c, dtype=float)
-    return AdmmState(alpha=np.asarray(alpha, dtype=float), c=c, ac=A.entries @ c, k=0)
+    return AdmmState(alpha=np.asarray(alpha, dtype=float), c=c, ac=a_dot(A, c), k=0)
 
 
 def run_lagrangian(loss, y, A, cfg, st):
@@ -309,9 +312,68 @@ def test_step_carries_a_c():
     A, y = random_instance(10)
     cfg = AdmmConfig(lam=0.2, rho=2.0)
     st = initial_state(A, np.random.default_rng(5))
-    np.testing.assert_array_equal(st.ac, A.entries @ st.c)
+    np.testing.assert_array_equal(st.ac, a_dot(A, st.c))
     nxt = admm_step(PL2, y, A, cfg, st, c_factor(A, cfg))
-    np.testing.assert_array_equal(nxt.ac, A.entries @ nxt.c)
+    np.testing.assert_array_equal(nxt.ac, a_dot(A, nxt.c))
+
+
+def test_a_dot_matches_dense_product_within_rounding(rng):
+    # symv and gemv sum in different orders; each entry of either is within
+    # N * eps * max|A| * max|c| of the exact product, so they differ by at
+    # most twice that.
+    for n in (1, 7, 300):
+        A, _ = random_instance(n, seed=n)
+        c = rng.uniform(-10.0, 10.0, n)
+        tol = 2.0 * n * np.finfo(float).eps * np.abs(A.entries).max() * np.abs(c).max()
+        assert np.max(np.abs(a_dot(A, c) - A.entries @ c)) <= tol
+
+
+def test_a_dot_and_c_factor_read_one_triangle(rng):
+    # Garbage above the diagonal of the C-ordered entries changes neither
+    # the product nor the factor: both read the entries on and below it.
+    A, _ = random_instance(12)
+    cfg = AdmmConfig(lam=0.2, rho=1.5)
+    skewed = A.entries.copy()
+    skewed[np.triu_indices(12, k=1)] = rng.uniform(-50.0, 50.0, 66)
+    B = GramMatrix(skewed)
+    c = rng.normal(size=12)
+    np.testing.assert_array_equal(a_dot(B, c), a_dot(A, c))
+    b = rng.normal(size=12)
+    np.testing.assert_array_equal(c_solve(c_factor(B, cfg), b), c_solve(c_factor(A, cfg), b))
+
+
+def test_c_factor_is_fortran_ordered():
+    A, _ = random_instance(9)
+    assert A.entries.flags.c_contiguous
+    chol, lower = c_factor(A, AdmmConfig(lam=0.1, rho=1.0))
+    assert chol.flags.f_contiguous and lower is False
+
+
+@pytest.mark.parametrize("lower", [False, True])
+def test_c_solve_with_either_factor_triangle(lower, rng):
+    A, _ = random_instance(15)
+    lam, rho = 0.3, 2.0
+    m = 2.0 * lam * np.eye(15) + rho * A.entries
+    factor = cho_factor(m, lower=lower)
+    for _ in range(5):
+        b = rng.normal(size=15)
+        kept = b.copy()
+        x = c_solve(factor, b)
+        np.testing.assert_array_equal(b, kept)
+        ref = np.linalg.solve(m, b)
+        assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_fortran_ordered_gram_trains_to_same_iterates():
+    A, y = random_instance(20)
+    F = GramMatrix(np.asfortranarray(A.entries))
+    assert F.entries.flags.c_contiguous
+    cfg = AdmmConfig(lam=0.1, rho=1.0, max_iter=40)
+    outs = [admm_run(PL2, y, M, cfg, initial_state(M, np.random.default_rng(3)))
+            for M in (A, F)]
+    np.testing.assert_array_equal(outs[0].state.c, outs[1].state.c)
+    np.testing.assert_array_equal(outs[0].state.alpha, outs[1].state.alpha)
+    assert outs[0].trace.to_csv() == outs[1].trace.to_csv()
 
 
 def test_run_rejects_an_indefinite_c_matrix():
@@ -414,7 +476,7 @@ def test_initial_state_ranges_and_consistency():
     assert st.k == 0
     assert st.c.shape == (25,)
     assert np.all(st.c >= -10.0) and np.all(st.c <= 10.0)
-    np.testing.assert_array_equal(st.ac, A.entries @ st.c)
+    np.testing.assert_array_equal(st.ac, a_dot(A, st.c))
     np.testing.assert_array_equal(st.alpha, st.ac)
 
 

@@ -63,6 +63,8 @@ def test_gram_matrix_must_be_square():
         GramMatrix(np.ones((2, 3)))
     with pytest.raises(InputError):
         GramMatrix(np.ones(4))
+    with pytest.raises(InputError, match="nonempty"):
+        GramMatrix(np.zeros((0, 0)))
     assert GramMatrix(np.eye(3)).size == 3
 
 

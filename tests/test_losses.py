@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -113,6 +114,18 @@ def test_margin_value_expression_matches_piece_loop(loss, rng):
     ])
     np.testing.assert_array_equal(bits(margin_value(loss, z)), bits(margin_value(copy, z)))
     assert bits(margin_value(loss, -0.0)) == bits(margin_value(copy, -0.0))
+
+
+def test_piece_loop_at_infinite_margins():
+    # A flat piece at an infinite margin is its intercept, not 0 * inf.
+    copy = MarginLoss("x", HINGE.pieces)
+    z = np.array([np.inf, -np.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = margin_value(copy, z)
+        np.testing.assert_array_equal(out, margin_value(HINGE, z))
+        assert margin_value(copy, math.inf) == margin_value(HINGE, math.inf) == 0.0
+        assert margin_value(copy, -math.inf) == margin_value(HINGE, -math.inf) == math.inf
 
 
 @pytest.mark.parametrize("loss", ALL_LOSSES, ids=lambda l: l.name)
