@@ -255,7 +255,9 @@ def prox_vector(loss, rho, n, labels, anchors) -> np.ndarray:
     has their common shape.  The pl2 and tlog tables equal
     prox_vector_enumerated bit for bit, tie rule included; the hinge and
     ramp branch tables agree with it except on anchors whose candidates are
-    within TIE_TOL of a tie without being equal.
+    within TIE_TOL of a tie without being equal, where they keep their own
+    branch's minimizer, whose objective is within TIE_TOL of the
+    enumerator's.
     """
     if not (rho > 0 and np.isfinite(rho)):
         raise InputError(f"rho must be positive, got {rho}")

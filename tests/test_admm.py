@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from splitsvm.admm import (
     initial_state,
     stationarity_residual,
 )
+from splitsvm.data import generate_synthetic
 from splitsvm.errors import DefinitenessError, InputError
 from splitsvm.kernels import GramMatrix, KernelSpec, gram
 from splitsvm.losses import HINGE, PL2, RAMP, TLOG, margin_value
@@ -308,13 +310,134 @@ def test_run_stops_a_diverged_start(monkeypatch):
     assert out.state.k == 1 and len(out.trace) == 1
 
 
+@pytest.mark.parametrize("loss", [HINGE, PL2, RAMP, TLOG], ids=lambda l: l.name)
+@pytest.mark.parametrize("lam, rho", [(0.5, 5.0), (0.1, 1.0)])
+def test_converged_means_the_true_residual_passes(loss, lam, rho):
+    cfg = AdmmConfig(lam=lam, rho=rho, max_iter=5000)
+    for seed in range(3):
+        A, y = random_instance(30, seed=seed)
+        out = admm_run(loss, y, A, cfg, initial_state(A, np.random.default_rng(seed)))
+        assert out.status == "converged"
+        true_resid = float(np.linalg.norm(out.state.alpha - a_dot(A, out.state.c)))
+        assert true_resid < cfg.eps0
+        assert out.trace.final.residual == true_resid
+        np.testing.assert_array_equal(out.state.ac, a_dot(A, out.state.c))
+
+
+def drifted_fixed_point():
+    """The hinge fixed point alpha = c = 1/2 of A = [[1]], lam = rho = 1,
+    with its carried A c off by 1e-13 and eps0 = 1e-14.  A step keeps c and
+    carries the error, so the carried residual is 0 while the true one is
+    about 1e-13."""
+    A, y = unit_instance()
+    cfg = AdmmConfig(lam=1.0, rho=1.0, eps0=1e-14)
+    st = AdmmState(alpha=np.array([0.5]), c=np.array([0.5]), ac=np.array([0.5 + 1e-13]), k=0)
+    return A, y, cfg, st
+
+
+def test_stop_check_refuses_a_drifted_a_c():
+    A, y, cfg, st = drifted_fixed_point()
+    nxt = admm_step(HINGE, y, A, cfg, st, c_factor(A, cfg))
+    true_resid = float(np.linalg.norm(nxt.alpha - a_dot(A, nxt.c)))
+    assert float(np.linalg.norm(nxt.alpha - nxt.ac)) < cfg.eps0 < true_resid
+
+    one = admm_run(HINGE, y, A, replace(cfg, max_iter=1), st)
+    assert one.status == "max_iter"
+    assert one.trace.final.residual == true_resid
+    np.testing.assert_array_equal(one.state.ac, a_dot(A, one.state.c))
+
+    # From the resynced A c the next step lands on the fixed point.
+    out = admm_run(HINGE, y, A, cfg, st)
+    assert out.status == "converged" and out.state.k == 2
+    assert [r.residual for r in out.trace.records] == [true_resid, 0.0]
+
+
+def count_calls(monkeypatch, name):
+    """Wrap splitsvm.admm.<name> so each call is appended to the returned list."""
+    import splitsvm.admm as admm_mod
+
+    calls = []
+    real = getattr(admm_mod, name)
+
+    def counted(*args):
+        out = real(*args)
+        calls.append(out)
+        return out
+
+    monkeypatch.setattr(admm_mod, name, counted)
+    return calls
+
+
+def test_capped_run_forms_no_product(monkeypatch):
+    # Counts admm_step's products too: the loop reads one N x N operand.
+    A, y = random_instance(16)
+    cfg = AdmmConfig(lam=0.1, rho=1.0, max_iter=50)
+    init = initial_state(A, np.random.default_rng(1))
+    products = count_calls(monkeypatch, "a_dot")
+    out = admm_run(TLOG, y, A, cfg, init)
+    assert out.status == "max_iter" and out.state.k == 50
+    assert products == []
+
+
+@pytest.mark.parametrize("case", ["random", "drifted"])
+def test_converged_run_forms_one_product_per_stop_check(monkeypatch, case):
+    if case == "random":
+        A, y = random_instance(30, seed=0)
+        cfg = AdmmConfig(lam=0.5, rho=5.0, max_iter=5000)
+        init = initial_state(A, np.random.default_rng(0))
+    else:
+        A, y, cfg, init = drifted_fixed_point()
+    steps = count_calls(monkeypatch, "admm_step")
+    products = count_calls(monkeypatch, "a_dot")
+    out = admm_run(HINGE, y, A, cfg, init)
+    assert out.status == "converged"
+    checks = sum(float(np.linalg.norm(st.alpha - st.ac)) < cfg.eps0 for st in steps)
+    assert len(products) == checks >= 1
+    if case == "drifted":
+        assert checks == 2  # the first check is refused
+
+
 def test_step_carries_a_c():
+    # admm_step forms A c from the c-update identity, not by a product.
+    # Started from the exact product, one step's rounding stays within
+    # 2 * N * eps * max|A| * max|c| (c over both states) of a_dot.
     A, y = random_instance(10)
     cfg = AdmmConfig(lam=0.2, rho=2.0)
+    factor = c_factor(A, cfg)
     st = initial_state(A, np.random.default_rng(5))
     np.testing.assert_array_equal(st.ac, a_dot(A, st.c))
-    nxt = admm_step(PL2, y, A, cfg, st, c_factor(A, cfg))
-    np.testing.assert_array_equal(nxt.ac, a_dot(A, nxt.c))
+    eps = np.finfo(float).eps
+    for _ in range(50):
+        st = replace(st, ac=a_dot(A, st.c))
+        nxt = admm_step(PL2, y, A, cfg, st, factor)
+        scale = max(np.abs(st.c).max(), np.abs(nxt.c).max())
+        tol = 2.0 * A.size * eps * np.abs(A.entries).max() * scale
+        assert np.max(np.abs(nxt.ac - a_dot(A, nxt.c))) <= tol
+        st = nxt
+
+
+def test_carried_a_c_drift_over_a_long_run():
+    # With no stop check to resync it, the carried A c takes on each step's
+    # rounding: a few ulps of |alpha| and (2 lam / rho) |c| from forming the
+    # right-hand side and the carried sum, and the solve's backward error,
+    # N eps max|A| times the step in c.  The drift after k steps stays
+    # within eps times the sum of those scales over the steps.
+    train, _ = generate_synthetic(200, 2, seed=3)
+    A = gram(KernelSpec("gaussian", 1.0), train.X)
+    eps = np.finfo(float).eps
+    for loss, lam, rho in ((PL2, 0.1, 1.0), (TLOG, 0.1, 0.05)):
+        cfg = AdmmConfig(lam=lam, rho=rho, enforce_rho_condition="off")
+        factor = c_factor(A, cfg)
+        st = initial_state(A, np.random.default_rng(0))
+        budget = 0.0
+        for _ in range(2000):
+            nxt = admm_step(loss, train.y, A, cfg, st, factor)
+            budget += eps * (np.abs(nxt.alpha).max() + 2.0 * lam / rho * np.abs(nxt.c).max()
+                             + A.size * np.abs(A.entries).max() * np.abs(nxt.c - st.c).max())
+            st = nxt
+        drift = np.max(np.abs(st.ac - a_dot(A, st.c)))
+        assert 0.0 < drift <= budget
+        assert drift < 1e-13
 
 
 def test_a_dot_matches_dense_product_within_rounding(rng):

@@ -276,6 +276,27 @@ def test_ramp_tie_negative_label():
     assert a == -0.5
 
 
+# Near-tie anchors on which the hinge and ramp branch tables keep their own
+# boundaries instead of the enumerator's smallest-minimizer rule (rho 0.8,
+# n 5, h 1/4).  The table's result is the contract; its objective is within
+# TIE_TOL of the enumerator's.
+@pytest.mark.parametrize(
+    "loss, label, anchor, table, enumerated",
+    [
+        (HINGE, 1.0, 1.0000000000001, 1.0000000000001, 1.0),
+        (HINGE, -1.0, -0.7499999999999996, -0.9999999999999996, -1.0),
+        (RAMP, 1.0, math.nextafter(-0.125, 1.0), 0.125, math.nextafter(-0.125, 1.0)),
+    ],
+)
+def test_branch_table_near_tie_anchors(loss, label, anchor, table, enumerated):
+    rho, n = 0.8, 5
+    a = float(prox_vector(loss, rho, n, np.array([label]), np.array([anchor]))[0])
+    e = float(prox_vector_enumerated(loss, rho, n, np.array([label]), np.array([anchor]))[0])
+    assert (a, e) == (table, enumerated)
+    g = prox_subproblem(loss, rho, n, label, anchor)
+    assert abs(float(g(a)) - float(g(e))) <= TIE_TOL
+
+
 def test_prox_objective_matches_manual():
     # The oracle objective every prox value here is read from, against the
     # tlog formula written out: margin z = -a, log(2 - z) for z < 1.
