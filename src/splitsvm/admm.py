@@ -34,16 +34,29 @@ N x N operand in place: GramMatrix keeps its entries C-contiguous, so
 A.entries.T is the Fortran-ordered view symv takes, and the factor is
 Fortran-ordered.
 
-The loop stops when ||alpha - A c||_2 < eps0 for the true product: when
+admm_run iterates all its starts together as one block: alpha, c and the
+carried A c are Fortran-ordered N x S arrays, one start per column.  The
+elementwise work (the prox, the c-update arithmetic, the A c identity, the
+losses) runs once per iteration on the whole block, and each column's risk
+is a pairwise sum along that contiguous column, as for a single vector.
+The BLAS calls stay per column: the two trsv of each c-solve, the symv of
+a stop check and the dot products of the diagnostics, each on a contiguous
+column.  A start's iterates and trace are therefore bit for bit those of
+the same start run alone, whatever starts share its block.  A column
+retires when its start converges, diverges or fails, and the block is
+compacted to the columns still running; at the cap all remaining columns
+stop together.
+
+A start stops when ||alpha - A c||_2 < eps0 for the true product: when
 the carried residual passes, A c is formed once by a_dot, which replaces
-the carried one, and the run goes on unless the true residual passes too.
-It stops as "diverged" when the objective or residual is no longer
+the carried one, and the start goes on unless the true residual passes
+too.  It stops as "diverged" when its objective or residual is no longer
 finite.  When rho exceeds the threshold 4 lam / lambda_min(A) the
 augmented Lagrangian is guaranteed to decrease every iteration, and the
 iterates are bounded; both facts are monitored as diagnostics rather than
 assumed.
 """
-
+import math
 import warnings
 from array import array
 from dataclasses import dataclass, replace
@@ -93,6 +106,9 @@ class AdmmConfig:
 
 @dataclass
 class AdmmState:
+    """One start's iterate (1-D arrays), or a block of starts: Fortran-ordered
+    N x S arrays, one start per column, as admm_run steps them."""
+
     alpha: np.ndarray
     c: np.ndarray
     #: A @ c: from a_dot at a start and at a stop check, otherwise carried
@@ -131,10 +147,14 @@ class IterationTrace:
     def __init__(self):
         self._columns = (array("q"),) + tuple(array("d") for _ in range(4))
 
-    def append(self, rec: TraceRecord) -> None:
-        for col, v in zip(self._columns, (rec.k, rec.lagrangian, rec.objective,
-                                          rec.residual, rec.step_norm_H)):
-            col.append(v)
+    def append(self, k, lagrangian, objective, residual, step_norm_H) -> None:
+        """Add one record, given as the five fields of a TraceRecord."""
+        ks, lags, objs, resids, steps = self._columns
+        ks.append(k)
+        lags.append(lagrangian)
+        objs.append(objective)
+        resids.append(residual)
+        steps.append(step_norm_H)
 
     @property
     def records(self) -> list:
@@ -179,20 +199,24 @@ def initial_state(A: GramMatrix, rng: np.random.Generator) -> AdmmState:
     return AdmmState(alpha=ac, c=c0, ac=ac, k=0)
 
 
-def _risk(loss, labels, t) -> float:
-    # np.mean's arithmetic (pairwise sum, then divide) without its dispatch.
+def _risk(loss, labels, t):
+    """F(t), the mean loss of the margins labels * t: a float for a vector t,
+    a list of floats, one per column, for a Fortran-ordered N x S block.
+
+    np.mean's arithmetic (pairwise sum, then divide) without its dispatch;
+    each column of a block is summed along its contiguous memory, in the
+    same order as that column alone.
+    """
     values = margin_value(loss, labels * t)
-    return float(np.add.reduce(values, axis=None) / values.size)
+    n = values.shape[0]
+    sums = np.add.reduce(values, axis=0).tolist()
+    return sums / n if values.ndim == 1 else [total / n for total in sums]
 
 
-def _lagrangian_given(loss, labels, cfg, st, res, cac) -> float:
-    """Augmented Lagrangian from the split residual alpha - A c and c^T A c."""
-    return (
-        _risk(loss, labels, st.alpha)
-        + cfg.lam * cac
-        + float((2.0 * cfg.lam * st.c) @ res)
-        + 0.5 * cfg.rho * float(res @ res)
-    )
+def _lagrangian_given(risk, cfg, gamma, res, cac, res_sq) -> float:
+    """Augmented Lagrangian of one start from F(alpha), gamma = 2 lam c, the
+    split residual alpha - A c, c^T A c and ||alpha - A c||^2."""
+    return risk + cfg.lam * cac + float(gamma.dot(res)) + 0.5 * cfg.rho * res_sq
 
 
 def a_dot(A: GramMatrix, c) -> np.ndarray:
@@ -216,15 +240,17 @@ def c_factor(A: GramMatrix, cfg: AdmmConfig):
         raise DefinitenessError(f"cannot factor 2 lam I + rho A: {exc}") from None
 
 
-def c_solve(factor, b) -> np.ndarray:
+def c_solve(factor, b, overwrite_b=False) -> np.ndarray:
     """Solve (2 lam I + rho A) x = b with ``factor`` = c_factor(A, cfg).
 
     ``factor`` is a cho_factor tuple (F, lower).  Two BLAS triangular
     solves: with M = U^T U (upper) they are U^T y = b, then U x = y; with
-    M = L L^T (lower), L y = b, then L^T x = y.  ``b`` is not modified.
+    M = L L^T (lower), L y = b, then L^T x = y.  ``b`` is not modified,
+    unless ``overwrite_b`` is set and ``b`` is a contiguous float vector:
+    then x is solved in its place (admm_step's per-column solves).
     """
     chol, lower = factor
-    y = dtrsv(chol, b, lower=lower, trans=0 if lower else 1)
+    y = dtrsv(chol, b, lower=lower, trans=0 if lower else 1, overwrite_x=overwrite_b)
     return dtrsv(chol, y, lower=lower, trans=1 if lower else 0, overwrite_x=1)
 
 
@@ -232,22 +258,28 @@ def admm_step(loss: MarginLoss, labels, A: GramMatrix, cfg: AdmmConfig, st: Admm
               factor) -> AdmmState:
     """One full iteration (alpha, c, gamma); the input state is not modified.
 
-    ``factor`` is c_factor(A, cfg).  Reads A c from ``st.ac`` and returns
-    the new state with ``ac = alpha + (2 lam / rho) (st.c - c)``, the value
-    the exact c update gives A c, so a step forms no N x N product.  That
-    ``ac`` equals a_dot(A, c) to rounding, and its error carries over from
-    ``st.ac``.
+    ``st`` holds one start (1-D arrays) or a block of starts (Fortran-ordered
+    N x S arrays, one per column), and ``labels`` broadcasts against it:
+    shape (N,), or (N, 1) for a block; admm_run checks it.  ``factor`` is
+    c_factor(A, cfg).  The elementwise work runs on the whole block, and
+    each column's c-solve is its own pair of trsv calls, so a column's
+    iterate does not depend on the other columns.  Reads A c from ``st.ac``
+    and returns the new state with ``ac = alpha + (2 lam / rho) (st.c - c)``,
+    the value the exact c update gives A c, so a step forms no N x N
+    product.  That ``ac`` equals a_dot(A, c) to rounding, and its error
+    carries over from ``st.ac``.
     """
-    labels = np.asarray(labels, dtype=float)
     n = A.size
-    if labels.shape != (n,):
-        raise InputError("labels must match the kernel matrix size")
     gamma = 2.0 * cfg.lam * st.c
     anchors = st.ac - gamma / cfg.rho
-    alpha = prox_vector(loss, cfg.rho, n, labels, anchors)
+    # Fortran order keeps every column contiguous for the solves and sums.
+    alpha = np.asfortranarray(prox_vector(loss, cfg.rho, n, labels, anchors))
     b = cfg.rho * alpha + gamma
     # Solve for the change from st.c: an exact fixed point stays bitwise fixed.
-    c = st.c + c_solve(factor, b - (gamma + cfg.rho * st.ac))
+    dc = b - (gamma + cfg.rho * st.ac)
+    for col in dc.T.reshape(-1, n):
+        c_solve(factor, col, overwrite_b=True)
+    c = st.c + dc
     ac = alpha + (2.0 * cfg.lam / cfg.rho) * (st.c - c)
     return AdmmState(alpha=alpha, c=c, ac=ac, k=st.k + 1)
 
@@ -275,73 +307,121 @@ def stationarity_residual(loss, labels, A: GramMatrix, cfg: AdmmConfig, st: Admm
     return max(split, float(np.max(np.abs(st.alpha - fixed))))
 
 
+def _column_state(st: AdmmState, i: int, k: int) -> AdmmState:
+    return AdmmState(alpha=st.alpha[:, i].copy(), c=st.c[:, i].copy(),
+                     ac=st.ac[:, i].copy(), k=k)
+
+
 def admm_run(
     loss: MarginLoss,
     labels,
     A: GramMatrix,
     cfg: AdmmConfig,
-    init: AdmmState,
+    inits,
     rho_check: RhoCondition | None = None,
     factor=None,
-) -> AdmmRunResult:
-    """Iterate from ``init`` until ||alpha - A c|| < eps0 or the cap.
+) -> list:
+    """Iterate every start in ``inits`` until ||alpha - A c|| < eps0 or the cap.
+
+    The starts run as one block, one per column (see the module docstring),
+    and each start's result is bit for bit the one it gets when run alone.
+    Returns one entry per start, in order: its AdmmRunResult, or the
+    DefinitenessError that stopped it when d^T A d < 0 for its step d.
 
     The test is on the true product.  Each step carries A c (admm_step);
-    when the carried residual passes eps0, A c is formed once by a_dot,
-    replaces the carried one in the state, and the iteration's record is
-    computed from it.  The run stops as "converged" only if that true
+    when a start's carried residual passes eps0, its A c is formed once by
+    a_dot, replaces the carried one in the state, and the iteration's record
+    is computed from it.  The start stops as "converged" only if that true
     residual passes too.  The trace's objective and Lagrangian therefore
     use the carried A c, except on a stop-check record, which uses the true
     product; a "max_iter" run ends on a carried objective.
 
-    ``factor`` is c_factor(A, cfg), built here when not given; callers
-    running several starts on one matrix build it once and pass it.
-    The monotone-descent diagnostic runs only when ``rho_check`` says
-    rho clears the threshold, since the guarantee only applies above it.
-    A non-finite objective or residual stops the run with status
-    "diverged".  Raises DefinitenessError when 2 lam I + rho A is not
-    positive definite.
+    ``factor`` is c_factor(A, cfg), built here when not given.  The
+    monotone-descent diagnostic runs only when ``rho_check`` says rho
+    clears the threshold, since the guarantee only applies above it; its
+    warnings from different starts may interleave.  A non-finite objective
+    or residual stops that start with status "diverged".  Raises
+    DefinitenessError when 2 lam I + rho A is not positive definite.
     """
     labels = np.asarray(labels, dtype=float)
+    if labels.shape != (A.size,):
+        raise InputError("labels must match the kernel matrix size")
+    y = labels[:, None]
     monitor_descent = rho_check is not None and rho_check.ok
     if factor is None:
         factor = c_factor(A, cfg)
 
-    st = init
-    trace = IterationTrace()
-    prev_c = init.c
-    prev_ac = init.ac
-    prev_lag = None
-    status = "max_iter"
+    def block(arrays):
+        return np.array(arrays, dtype=float).T
+
+    st = AdmmState(alpha=block([s.alpha for s in inits]), c=block([s.c for s in inits]),
+                   ac=block([s.ac for s in inits]), k=0)
+    k0 = [s.k for s in inits]
+    starts = list(range(len(inits)))  # the start in each column of the block
+    traces = [IterationTrace() for _ in inits]
+    prev_lag = [None] * len(inits)
+    results = [None] * len(inits)
+    prev_c = st.c
+    prev_ac = st.ac
     for _ in range(cfg.max_iter):
-        st = admm_step(loss, labels, A, cfg, st, factor)
-        ac = st.ac
-        res = st.alpha - ac
-        resid = float(np.linalg.norm(res))
-        if resid < cfg.eps0:
-            ac = a_dot(A, st.c)
-            st = replace(st, ac=ac)
-            res = st.alpha - ac
-            resid = float(np.linalg.norm(res))
-        cac = float(st.c @ ac)
-        lag = _lagrangian_given(loss, labels, cfg, st, res, cac)
-        obj = _risk(loss, labels, ac) + cfg.lam * cac
-        step_norm = float(np.sqrt(_psd_form(float((st.c - prev_c) @ (ac - prev_ac)))))
-        trace.append(TraceRecord(st.k, lag, obj, resid, step_norm))
-        if not (np.isfinite(obj) and np.isfinite(resid)):
-            status = "diverged"
-            break
-        if monitor_descent and prev_lag is not None and lag > prev_lag + DESCENT_SLACK:
-            warnings.warn(
-                f"augmented Lagrangian rose by {lag - prev_lag:.3e} at iteration "
-                f"{st.k} despite rho clearing the descent threshold",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        prev_lag = lag
+        st = admm_step(loss, y, A, cfg, st, factor)
+        res = st.alpha - st.ac
+        risk_alpha = _risk(loss, y, st.alpha)
+        risk_ac = _risk(loss, y, st.ac)
+        gamma = 2.0 * cfg.lam * st.c
+        columns = zip(st.c.T, st.ac.T, res.T, gamma.T, (st.c - prev_c).T, (st.ac - prev_ac).T)
+        step_ac = st.ac
+        retired = []
+        for i, (c, ac, r, g, dc, dac) in enumerate(columns):
+            j = starts[i]
+            k = k0[j] + st.k
+            res_sq = float(r.dot(r))
+            if math.sqrt(res_sq) < cfg.eps0:
+                # The stop check: the true product replaces the carried one,
+                # in a copy, so that the step's own output stays as it was.
+                if st.ac is step_ac:
+                    st = replace(st, ac=step_ac.copy(order="F"))
+                ac = st.ac[:, i]
+                ac[:] = a_dot(A, c)
+                np.subtract(st.alpha[:, i], ac, out=r)
+                res_sq = float(r.dot(r))
+                risk_ac[i] = _risk(loss, labels, ac)
+                dac = ac - prev_ac[:, i]
+            resid = math.sqrt(res_sq)
+            cac = float(c.dot(ac))
+            lag = _lagrangian_given(risk_alpha[i], cfg, g, r, cac, res_sq)
+            obj = risk_ac[i] + cfg.lam * cac
+            try:
+                step_norm = math.sqrt(_psd_form(float(dc.dot(dac))))
+            except DefinitenessError as exc:
+                results[j] = exc
+                retired.append(i)
+                continue
+            traces[j].append(k, lag, obj, resid, step_norm)
+            if not (math.isfinite(obj) and math.isfinite(resid)):
+                results[j] = AdmmRunResult(_column_state(st, i, k), traces[j], "diverged")
+                retired.append(i)
+                continue
+            if monitor_descent and prev_lag[j] is not None and lag > prev_lag[j] + DESCENT_SLACK:
+                warnings.warn(
+                    f"augmented Lagrangian rose by {lag - prev_lag[j]:.3e} at iteration "
+                    f"{k} despite rho clearing the descent threshold",
+                    RuntimeWarning,
+                    stacklevel=2,
+                )
+            prev_lag[j] = lag
+            if resid < cfg.eps0:
+                results[j] = AdmmRunResult(_column_state(st, i, k), traces[j], "converged")
+                retired.append(i)
+        if retired:
+            keep = [i for i in range(len(starts)) if i not in retired]
+            # Indexing whole columns keeps the arrays Fortran-ordered.
+            st = AdmmState(alpha=st.alpha[:, keep], c=st.c[:, keep], ac=st.ac[:, keep], k=st.k)
+            starts = [starts[i] for i in keep]
+            if not starts:
+                break
         prev_c = st.c
-        prev_ac = ac
-        if resid < cfg.eps0:
-            status = "converged"
-            break
-    return AdmmRunResult(state=st, trace=trace, status=status)
+        prev_ac = st.ac
+    for i, j in enumerate(starts):
+        results[j] = AdmmRunResult(_column_state(st, i, k0[j] + st.k), traces[j], "max_iter")
+    return results

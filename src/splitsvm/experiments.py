@@ -20,7 +20,7 @@ import numpy as np
 
 from .admm import AdmmConfig, AdmmRunResult, admm_run, initial_state
 from .data import Dataset, generate_synthetic
-from .errors import InputError
+from .errors import DefinitenessError, InputError
 from .kernels import GramMatrix, KernelSpec, gram
 from .losses import get_loss
 from .model import TrainedModel, predict_labels, train_multistart
@@ -52,7 +52,9 @@ def convergence_trace(seed: int, max_iter: int = 10000) -> ConvergenceResult:
     A = gram(KernelSpec("gaussian", 1.0), train.X)
     loss = get_loss("tlog")
     init = initial_state(A, np.random.default_rng(seed))
-    run = admm_run(loss, train.y, A, cfg, init)
+    (run,) = admm_run(loss, train.y, A, cfg, [init])
+    if isinstance(run, DefinitenessError):
+        raise run
     return ConvergenceResult(run, A, train, cfg, loss.name)
 
 

@@ -166,7 +166,9 @@ def train_multistart(
 
     Start s draws its initial point from a generator seeded with seed + s.
     All starts share one factor of 2 lam I + rho A, built before the first
-    start; DefinitenessError is raised when it cannot be built.  Ties in
+    start; DefinitenessError is raised when it cannot be built.  The starts
+    then run together as one admm_run block, and each start's result is
+    bit for bit the one it gets alone, whatever ``starts`` is.  Ties in
     the final objective resolve to the lowest start index; a start that
     failed or diverged is never selected.  ``rho_check`` is the verdict
     of rho_condition when the caller already has it.  Returns
@@ -181,18 +183,13 @@ def train_multistart(
     if rho_check is None:
         rho_check = rho_condition(A, cfg)
     factor = c_factor(A, cfg)
+    inits = [initial_state(A, np.random.default_rng(seed + s)) for s in range(starts)]
 
     summaries = []
     best = None
-    for s in range(starts):
-        rng = np.random.default_rng(seed + s)
-        init = initial_state(A, rng)
-        try:
-            run = admm_run(loss, data.y, A, cfg, init, rho_check, factor)
-        except DefinitenessError as exc:
-            summaries.append(
-                StartSummary(s, None, None, None, None, error=str(exc))
-            )
+    for s, run in enumerate(admm_run(loss, data.y, A, cfg, inits, rho_check, factor)):
+        if isinstance(run, DefinitenessError):
+            summaries.append(StartSummary(s, None, None, None, None, error=str(run)))
             continue
         rec = run.trace.final
         diverged = run.status == "diverged"

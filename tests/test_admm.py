@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 from dataclasses import replace
@@ -15,6 +16,7 @@ from splitsvm.admm import (
     TraceRecord,
     _lagrangian_given,
     _psd_form,
+    _risk,
     a_dot,
     admm_run,
     admm_step,
@@ -44,7 +46,8 @@ def state(A, alpha, c):
 def run_lagrangian(loss, y, A, cfg, st):
     """The augmented Lagrangian as admm_run forms it from a state's A c."""
     res = st.alpha - st.ac
-    return _lagrangian_given(loss, y, cfg, st, res, float(st.c @ st.ac))
+    return _lagrangian_given(_risk(loss, y, st.alpha), cfg, 2.0 * cfg.lam * st.c, res,
+                             float(st.c @ st.ac), float(res @ res))
 
 
 def random_instance(n=20, seed=5, spread=4.0):
@@ -161,12 +164,12 @@ def test_fixed_point_is_preserved_bitwise():
     assert nxt.k == 1
 
 
-def test_step_rejects_mismatched_labels():
+def test_run_rejects_mismatched_labels():
     A, _ = random_instance(6)
     cfg = AdmmConfig(lam=0.1, rho=1.0)
     st = state(A, np.zeros(6), np.zeros(6))
     with pytest.raises(InputError):
-        admm_step(HINGE, np.ones(5), A, cfg, st, c_factor(A, cfg))
+        admm_run(HINGE, np.ones(5), A, cfg, [st])
 
 
 def test_multiplier_identity_after_every_step():
@@ -193,7 +196,7 @@ def test_run_stops_at_fixed_point():
     A, y = unit_instance()
     cfg = AdmmConfig(lam=1.0, rho=1.0, eps0=1e-12)
     st = state(A, [0.5], [0.5])
-    out = admm_run(HINGE, y, A, cfg, st)
+    out = admm_run(HINGE, y, A, cfg, [st])[0]
     assert out.status == "converged"
     assert len(out.trace) == 1
     assert out.trace.final.residual == 0.0
@@ -204,7 +207,7 @@ def test_run_honors_iteration_cap():
     A, y = random_instance(16)
     cfg = AdmmConfig(lam=0.1, rho=0.05, eps0=1e-14, max_iter=3)
     init = initial_state(A, np.random.default_rng(1))
-    out = admm_run(TLOG, y, A, cfg, init)
+    out = admm_run(TLOG, y, A, cfg, [init])[0]
     assert out.status == "max_iter"
     assert len(out.trace) == 3
     assert out.state.k == 3
@@ -214,7 +217,7 @@ def test_run_trace_matches_recomputation():
     A, y = random_instance(12)
     cfg = AdmmConfig(lam=0.5, rho=5.0, eps0=1e-10, max_iter=200)
     init = initial_state(A, np.random.default_rng(2))
-    out = admm_run(RAMP, y, A, cfg, init)
+    out = admm_run(RAMP, y, A, cfg, [init])[0]
     final = out.trace.final
     assert final.objective == pytest.approx(
         objective_value(RAMP, y, A, cfg, out.state.c), rel=1e-12
@@ -230,7 +233,7 @@ def test_run_deterministic_for_equal_seeds():
     outs = []
     for _ in range(2):
         init = initial_state(A, np.random.default_rng(123))
-        outs.append(admm_run(PL2, y, A, cfg, init))
+        outs.append(admm_run(PL2, y, A, cfg, [init])[0])
     a, b = outs
     assert a.status == b.status
     assert len(a.trace) == len(b.trace)
@@ -246,7 +249,7 @@ def test_monotone_descent_when_condition_holds(separated_instance):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         check = rho_condition(A, cfg)
-        out = admm_run(HINGE, data.y, A, cfg, init, check)
+        out = admm_run(HINGE, data.y, A, cfg, [init], check)[0]
     assert check.ok
     assert check.lambda_min == float(np.linalg.eigvalsh(A.entries)[0])
     lags = [r.lagrangian for r in out.trace.records]
@@ -295,17 +298,17 @@ def test_unknown_eigenvalue_skips_policy(separated_instance):
     init = initial_state(A, np.random.default_rng(4))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = admm_run(HINGE, data.y, A, cfg, init)
+        out = admm_run(HINGE, data.y, A, cfg, [init])[0]
     assert out.state.k > 0
 
 
 def test_run_stops_a_diverged_start(monkeypatch):
     import splitsvm.admm as admm_mod
 
-    monkeypatch.setattr(admm_mod, "prox_vector", lambda *args: np.full(6, np.nan))
+    monkeypatch.setattr(admm_mod, "prox_vector", lambda *args: np.full(args[-1].shape, np.nan))
     A, y = random_instance(6)
     cfg = AdmmConfig(lam=0.1, rho=1.0, max_iter=50)
-    out = admm_run(HINGE, y, A, cfg, initial_state(A, np.random.default_rng(0)))
+    out = admm_run(HINGE, y, A, cfg, [initial_state(A, np.random.default_rng(0))])[0]
     assert out.status == "diverged"
     assert out.state.k == 1 and len(out.trace) == 1
 
@@ -316,7 +319,7 @@ def test_converged_means_the_true_residual_passes(loss, lam, rho):
     cfg = AdmmConfig(lam=lam, rho=rho, max_iter=5000)
     for seed in range(3):
         A, y = random_instance(30, seed=seed)
-        out = admm_run(loss, y, A, cfg, initial_state(A, np.random.default_rng(seed)))
+        out = admm_run(loss, y, A, cfg, [initial_state(A, np.random.default_rng(seed))])[0]
         assert out.status == "converged"
         true_resid = float(np.linalg.norm(out.state.alpha - a_dot(A, out.state.c)))
         assert true_resid < cfg.eps0
@@ -341,13 +344,13 @@ def test_stop_check_refuses_a_drifted_a_c():
     true_resid = float(np.linalg.norm(nxt.alpha - a_dot(A, nxt.c)))
     assert float(np.linalg.norm(nxt.alpha - nxt.ac)) < cfg.eps0 < true_resid
 
-    one = admm_run(HINGE, y, A, replace(cfg, max_iter=1), st)
+    one = admm_run(HINGE, y, A, replace(cfg, max_iter=1), [st])[0]
     assert one.status == "max_iter"
     assert one.trace.final.residual == true_resid
     np.testing.assert_array_equal(one.state.ac, a_dot(A, one.state.c))
 
     # From the resynced A c the next step lands on the fixed point.
-    out = admm_run(HINGE, y, A, cfg, st)
+    out = admm_run(HINGE, y, A, cfg, [st])[0]
     assert out.status == "converged" and out.state.k == 2
     assert [r.residual for r in out.trace.records] == [true_resid, 0.0]
 
@@ -374,7 +377,7 @@ def test_capped_run_forms_no_product(monkeypatch):
     cfg = AdmmConfig(lam=0.1, rho=1.0, max_iter=50)
     init = initial_state(A, np.random.default_rng(1))
     products = count_calls(monkeypatch, "a_dot")
-    out = admm_run(TLOG, y, A, cfg, init)
+    out = admm_run(TLOG, y, A, cfg, [init])[0]
     assert out.status == "max_iter" and out.state.k == 50
     assert products == []
 
@@ -389,7 +392,7 @@ def test_converged_run_forms_one_product_per_stop_check(monkeypatch, case):
         A, y, cfg, init = drifted_fixed_point()
     steps = count_calls(monkeypatch, "admm_step")
     products = count_calls(monkeypatch, "a_dot")
-    out = admm_run(HINGE, y, A, cfg, init)
+    out = admm_run(HINGE, y, A, cfg, [init])[0]
     assert out.status == "converged"
     checks = sum(float(np.linalg.norm(st.alpha - st.ac)) < cfg.eps0 for st in steps)
     assert len(products) == checks >= 1
@@ -438,6 +441,103 @@ def test_carried_a_c_drift_over_a_long_run():
         drift = np.max(np.abs(st.ac - a_dot(A, st.c)))
         assert 0.0 < drift <= budget
         assert drift < 1e-13
+
+
+def assert_same_run(alone, other):
+    """Two results of one start agree bit for bit: the error of a failed
+    start, or the status, count, final record, state and whole trace."""
+    if isinstance(alone, DefinitenessError):
+        assert isinstance(other, DefinitenessError) and str(other) == str(alone)
+        return
+    assert (other.status, other.state.k) == (alone.status, alone.state.k)
+    assert repr(other.trace.final.objective) == repr(alone.trace.final.objective)
+    assert repr(other.trace.final.residual) == repr(alone.trace.final.residual)
+    for name in ("alpha", "c", "ac"):
+        np.testing.assert_array_equal(getattr(other.state, name), getattr(alone.state, name))
+    assert other.trace.to_csv() == alone.trace.to_csv()
+
+
+@pytest.mark.parametrize("loss", [HINGE, PL2, RAMP, TLOG], ids=lambda l: l.name)
+def test_block_starts_equal_their_runs_alone(loss, monkeypatch):
+    # Five starts whose columns retire at different iterations: a NaN start
+    # diverges at once, start 1 fails at its 50th step, starts 0 and 2
+    # converge, and start 3 hits the cap.  Each equals its run alone, in
+    # either order of the block, and the block stays Fortran-ordered as
+    # it is compacted.
+    import splitsvm.admm as admm_mod
+
+    A, y = random_instance(30, seed=1)
+    cfg = AdmmConfig(lam=0.5, rho=5.0, max_iter=5000)
+    inits = [initial_state(A, np.random.default_rng(s)) for s in range(4)]
+    counts = [admm_run(loss, y, A, cfg, [init])[0].state.k for init in inits]
+    assert counts[3] == max(counts) > max(counts[:3])
+    cfg = replace(cfg, max_iter=counts[3] - 1)
+
+    real_form = admm_mod._psd_form
+    forms = []
+    monkeypatch.setattr(admm_mod, "_psd_form", lambda q: forms.append(q) or real_form(q))
+    admm_run(loss, y, A, replace(cfg, max_iter=50), [inits[1]])
+    trigger = forms[-1]
+
+    def fails_at_trigger(q):
+        if q == trigger:
+            raise DefinitenessError(f"quadratic form {q!r} read as negative")
+        return real_form(q)
+
+    monkeypatch.setattr(admm_mod, "_psd_form", fails_at_trigger)
+    c = inits[2].c.copy()
+    c[7] = np.nan
+    inits.append(state(A, a_dot(A, c), c))
+    alone = [admm_run(loss, y, A, cfg, [init])[0] for init in inits]
+
+    real_step = admm_mod.admm_step
+    real_risk = admm_mod._risk
+    widths = []
+
+    def step(loss, labels, A, cfg, st, factor):
+        assert all(a.flags.f_contiguous for a in (st.alpha, st.c, st.ac))
+        widths.append(st.c.shape[1])
+        return real_step(loss, labels, A, cfg, st, factor)
+
+    def risk(loss, labels, t):
+        # Blocks, and the columns of a stop check, are contiguous columns.
+        assert t.flags.f_contiguous
+        return real_risk(loss, labels, t)
+
+    monkeypatch.setattr(admm_mod, "admm_step", step)
+    monkeypatch.setattr(admm_mod, "_risk", risk)
+    block = admm_run(loss, y, A, cfg, inits)
+    assert widths[0] == 5 and widths[-1] == 1 and widths == sorted(widths, reverse=True)
+    backwards = admm_run(loss, y, A, cfg, inits[::-1])[::-1]
+
+    assert isinstance(alone[1], DefinitenessError) and "read as negative" in str(alone[1])
+    assert [alone[s].status for s in (0, 2, 3, 4)] == ["converged", "converged", "max_iter",
+                                                       "diverged"]
+    assert alone[4].state.k == 1 and alone[3].state.k == cfg.max_iter
+    for run in (block[0], block[2]):
+        # A stop-check record is computed from the true product.
+        st = run.state
+        objective = _risk(loss, y, st.ac) + cfg.lam * float(st.c.dot(st.ac))
+        assert repr(run.trace.final.objective) == repr(objective)
+    for s in range(5):
+        assert_same_run(alone[s], block[s])
+        assert_same_run(alone[s], backwards[s])
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 127, 128, 129, 300, 1000])
+def test_column_risk_equals_the_risk_of_each_column(n):
+    # A block's risks are pairwise sums along its contiguous columns: each
+    # equals the risk of that column alone, and np.mean, bit for bit.
+    rng = np.random.default_rng(n)
+    y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    t = np.array([rng.normal(scale=2.0, size=n) for _ in range(5)]).T
+    assert t.flags.f_contiguous
+    for loss in (HINGE, PL2, RAMP, TLOG):
+        risks = _risk(loss, y[:, None], t)
+        assert len(risks) == 5
+        for j in range(5):
+            col = t[:, j].copy()
+            assert risks[j] == _risk(loss, y, col) == np.mean(margin_value(loss, y * col))
 
 
 def test_a_dot_matches_dense_product_within_rounding(rng):
@@ -492,7 +592,7 @@ def test_fortran_ordered_gram_trains_to_same_iterates():
     F = GramMatrix(np.asfortranarray(A.entries))
     assert F.entries.flags.c_contiguous
     cfg = AdmmConfig(lam=0.1, rho=1.0, max_iter=40)
-    outs = [admm_run(PL2, y, M, cfg, initial_state(M, np.random.default_rng(3)))
+    outs = [admm_run(PL2, y, M, cfg, [initial_state(M, np.random.default_rng(3))])[0]
             for M in (A, F)]
     np.testing.assert_array_equal(outs[0].state.c, outs[1].state.c)
     np.testing.assert_array_equal(outs[0].state.alpha, outs[1].state.alpha)
@@ -505,7 +605,7 @@ def test_run_rejects_an_indefinite_c_matrix():
     cfg = AdmmConfig(lam=0.1, rho=1.0, max_iter=5, enforce_rho_condition="off")
     init = initial_state(A, np.random.default_rng(0))
     with pytest.raises(DefinitenessError, match="not positive definite"):
-        admm_run(HINGE, np.array([1.0, -1.0]), A, cfg, init)
+        admm_run(HINGE, np.array([1.0, -1.0]), A, cfg, [init])
 
 
 # ---------------------------------------------------------------------------
@@ -530,13 +630,13 @@ def test_rkhs_step_norm_identity_kernel():
     y = np.array([1.0, -1.0, 1.0])
     cfg = AdmmConfig(lam=0.5, rho=2.0, max_iter=1)
     init = state(A, [1.0, 0.0, 0.0], [1.0, 0.0, 0.0])
-    out = admm_run(HINGE, y, A, cfg, init)
+    out = admm_run(HINGE, y, A, cfg, [init])[0]
     d = out.state.c - init.c
     assert out.trace.final.step_norm_H == pytest.approx(math.sqrt(d @ d), rel=1e-15)
     assert out.trace.final.step_norm_H > 0.0
     # a fixed point takes a step of exactly zero
     A1, y1 = unit_instance()
-    fixed = admm_run(HINGE, y1, A1, AdmmConfig(lam=1.0, rho=1.0), state(A1, [0.5], [0.5]))
+    fixed = admm_run(HINGE, y1, A1, AdmmConfig(lam=1.0, rho=1.0), [state(A1, [0.5], [0.5])])[0]
     assert fixed.trace.final.step_norm_H == 0.0
 
 
@@ -547,7 +647,7 @@ def test_rkhs_step_norm_general_matrix():
     y = np.array([1.0, -1.0])
     cfg = AdmmConfig(lam=0.2, rho=1.5, max_iter=5, eps0=1e-300)
     init = initial_state(A, np.random.default_rng(4))
-    out = admm_run(TLOG, y, A, cfg, init)
+    out = admm_run(TLOG, y, A, cfg, [init])[0]
     factor = c_factor(A, cfg)
     st = init
     for rec in out.trace.records:
@@ -583,7 +683,7 @@ def test_converged_run_has_small_stationarity_residual():
     A, y = random_instance(12)
     cfg = AdmmConfig(lam=0.5, rho=5.0, eps0=1e-12, max_iter=2000)
     init = initial_state(A, np.random.default_rng(6))
-    out = admm_run(HINGE, y, A, cfg, init)
+    out = admm_run(HINGE, y, A, cfg, [init])[0]
     assert out.status == "converged"
     assert stationarity_residual(HINGE, y, A, cfg, out.state) <= 1e-9
 
@@ -612,8 +712,8 @@ def test_initial_state_seed_determinism():
 
 def test_trace_csv_format_and_precision():
     trace = IterationTrace()
-    trace.append(TraceRecord(1, 1.0 / 3.0, 0.25, 1e-5, 0.5))
-    trace.append(TraceRecord(2, 0.3, 0.2, 1e-7, 0.25))
+    trace.append(1, 1.0 / 3.0, 0.25, 1e-5, 0.5)
+    trace.append(2, 0.3, 0.2, 1e-7, 0.25)
     text = trace.to_csv()
     lines = text.strip().split("\n")
     assert lines[0] == "k,lagrangian,objective,residual,step_norm_H"
@@ -628,7 +728,7 @@ def test_trace_returns_the_records_appended():
     recs = [TraceRecord(1, 1.0 / 3.0, 0.25, 1e-5, 0.5), TraceRecord(2, 0.3, 0.2, 1e-7, 0.25)]
     trace = IterationTrace()
     for rec in recs:
-        trace.append(rec)
+        trace.append(*dataclasses.astuple(rec))
     assert len(trace) == 2
     assert trace.records == recs
     assert trace.final == recs[-1]
@@ -637,8 +737,8 @@ def test_trace_returns_the_records_appended():
 
 def test_trace_csv_cumulative_column():
     trace = IterationTrace()
-    trace.append(TraceRecord(1, 1.0, 1.0, 1e-3, 0.5))
-    trace.append(TraceRecord(2, 0.9, 0.9, 1e-4, 0.75))
+    trace.append(1, 1.0, 1.0, 1e-3, 0.5)
+    trace.append(2, 0.9, 0.9, 1e-4, 0.75)
     text = trace.to_csv(extra_cumulative_step_norm=True)
     lines = text.strip().split("\n")
     assert lines[0].endswith(",cum_step_norm_H")
@@ -648,7 +748,7 @@ def test_trace_csv_cumulative_column():
 
 def test_trace_write_csv_round_trip(tmp_path):
     trace = IterationTrace()
-    trace.append(TraceRecord(1, 0.1, 0.1, 1e-2, 0.3))
+    trace.append(1, 0.1, 0.1, 1e-2, 0.3)
     path = tmp_path / "trace.csv"
     trace.write_csv(str(path))
     assert path.read_text() == trace.to_csv()

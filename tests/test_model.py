@@ -145,7 +145,7 @@ def test_single_start_equals_direct_run(small_split):
     A = gram(spec, train.X)
     model, summaries = train_multistart(train, spec, HINGE, cfg, starts=1, seed=77)
     init = initial_state(A, np.random.default_rng(77))
-    direct = admm_run(HINGE, train.y, A, cfg, init)
+    direct = admm_run(HINGE, train.y, A, cfg, [init])[0]
     np.testing.assert_array_equal(model.coeffs, direct.state.c)
     assert summaries[0].iterations == direct.state.k
     assert model.meta.start_index == 0
@@ -211,6 +211,11 @@ def test_multistart_reports_all_failed_starts(small_split, monkeypatch):
     real = model_mod.admm_run
     monkeypatch.setattr(model_mod, "admm_run", lambda *args: runs.append(1) or real(*args))
     train, _ = small_split
+    # The starts run as one admm_run block, which the patched call site sees.
+    ok_cfg = AdmmConfig(lam=0.5, rho=5.0, max_iter=5, enforce_rho_condition="off")
+    train_multistart(train, KernelSpec("gaussian", 1.0), HINGE, ok_cfg, starts=2, seed=0)
+    assert runs == [1]
+    runs.clear()
     # An indefinite "kernel" matrix makes 2 lam I + rho A unfactorable, which
     # fails the problem once, before any start runs.
     n = train.n
@@ -225,18 +230,19 @@ def test_multistart_reports_all_failed_starts(small_split, monkeypatch):
 
 
 def test_multistart_never_selects_a_failed_start(small_split, monkeypatch):
-    import splitsvm.model as model_mod
+    import splitsvm.admm as admm_mod
 
-    real = model_mod.admm_run
+    real = admm_mod._psd_form
     calls = []
 
-    def first_start_fails(*args):
-        calls.append(1)
+    def first_start_fails(q):
+        # The first call is column 0 (start 0) at the block's first iteration.
+        calls.append(q)
         if len(calls) == 1:
             raise DefinitenessError("kernel matrix quadratic form is negative")
-        return real(*args)
+        return real(q)
 
-    monkeypatch.setattr(model_mod, "admm_run", first_start_fails)
+    monkeypatch.setattr(admm_mod, "_psd_form", first_start_fails)
     train, _ = small_split
     cfg = AdmmConfig(lam=0.5, rho=5.0, eps0=1e-8, max_iter=200, enforce_rho_condition="off")
     model, summaries = train_multistart(train, KernelSpec("gaussian", 1.0), HINGE, cfg,
@@ -250,7 +256,7 @@ def test_multistart_never_selects_a_diverged_start(small_split, monkeypatch):
     import splitsvm.admm as admm_mod
 
     train, _ = small_split
-    monkeypatch.setattr(admm_mod, "prox_vector", lambda *args: np.full(train.n, np.nan))
+    monkeypatch.setattr(admm_mod, "prox_vector", lambda *args: np.full(args[-1].shape, np.nan))
     cfg = AdmmConfig(lam=0.1, rho=1.0, max_iter=50, enforce_rho_condition="off")
     with pytest.raises(TrainingError, match="start 0: diverged at iteration 1"):
         train_multistart(train, KernelSpec("gaussian", 1.0), HINGE, cfg, starts=2, seed=0)
