@@ -240,17 +240,15 @@ def c_factor(A: GramMatrix, cfg: AdmmConfig):
         raise DefinitenessError(f"cannot factor 2 lam I + rho A: {exc}") from None
 
 
-def c_solve(factor, b, overwrite_b=False) -> np.ndarray:
+def c_solve(factor, b) -> np.ndarray:
     """Solve (2 lam I + rho A) x = b with ``factor`` = c_factor(A, cfg).
 
     ``factor`` is a cho_factor tuple (F, lower).  Two BLAS triangular
     solves: with M = U^T U (upper) they are U^T y = b, then U x = y; with
-    M = L L^T (lower), L y = b, then L^T x = y.  ``b`` is not modified,
-    unless ``overwrite_b`` is set and ``b`` is a contiguous float vector:
-    then x is solved in its place (admm_step's per-column solves).
+    M = L L^T (lower), L y = b, then L^T x = y.  ``b`` is not modified.
     """
     chol, lower = factor
-    y = dtrsv(chol, b, lower=lower, trans=0 if lower else 1, overwrite_x=overwrite_b)
+    y = dtrsv(chol, b, lower=lower, trans=0 if lower else 1)
     return dtrsv(chol, y, lower=lower, trans=1 if lower else 0, overwrite_x=1)
 
 
@@ -258,9 +256,10 @@ def admm_step(loss: MarginLoss, labels, A: GramMatrix, cfg: AdmmConfig, st: Admm
               factor) -> AdmmState:
     """One full iteration (alpha, c, gamma); the input state is not modified.
 
-    ``st`` holds one start (1-D arrays) or a block of starts (Fortran-ordered
-    N x S arrays, one per column), and ``labels`` broadcasts against it:
-    shape (N,), or (N, 1) for a block; admm_run checks it.  ``factor`` is
+    ``st`` holds one start (1-D arrays) or a block of starts (N x S arrays,
+    one per column; admm_run's are Fortran-ordered, and a block in another
+    layout steps to the same values), and ``labels`` broadcasts against it:
+    shape (N,), or (N, 1) for a block, else InputError.  ``factor`` is
     c_factor(A, cfg).  The elementwise work runs on the whole block, and
     each column's c-solve is its own pair of trsv calls, so a column's
     iterate does not depend on the other columns.  Reads A c from ``st.ac``
@@ -270,15 +269,18 @@ def admm_step(loss: MarginLoss, labels, A: GramMatrix, cfg: AdmmConfig, st: Admm
     carries over from ``st.ac``.
     """
     n = A.size
+    if np.shape(labels)[:1] != (n,) or np.ndim(labels) > np.ndim(st.c):
+        raise InputError("labels must match the kernel matrix size")
     gamma = 2.0 * cfg.lam * st.c
     anchors = st.ac - gamma / cfg.rho
     # Fortran order keeps every column contiguous for the solves and sums.
     alpha = np.asfortranarray(prox_vector(loss, cfg.rho, n, labels, anchors))
     b = cfg.rho * alpha + gamma
     # Solve for the change from st.c: an exact fixed point stays bitwise fixed.
-    dc = b - (gamma + cfg.rho * st.ac)
+    dc = np.asfortranarray(b - (gamma + cfg.rho * st.ac))
+    # Rows of dc.T are views of dc's contiguous columns; each is solved alone.
     for col in dc.T.reshape(-1, n):
-        c_solve(factor, col, overwrite_b=True)
+        col[:] = c_solve(factor, col)
     c = st.c + dc
     ac = alpha + (2.0 * cfg.lam / cfg.rho) * (st.c - c)
     return AdmmState(alpha=alpha, c=c, ac=ac, k=st.k + 1)

@@ -164,12 +164,41 @@ def test_fixed_point_is_preserved_bitwise():
     assert nxt.k == 1
 
 
+def test_step_rejects_mismatched_labels():
+    A, _ = random_instance(6)
+    cfg = AdmmConfig(lam=0.1, rho=1.0)
+    st = state(A, np.zeros(6), np.zeros(6))
+    factor = c_factor(A, cfg)
+    for labels in (np.ones(5), np.ones(1), 1.0, np.ones((6, 1))):
+        with pytest.raises(InputError):
+            admm_step(HINGE, labels, A, cfg, st, factor)
+
+
 def test_run_rejects_mismatched_labels():
     A, _ = random_instance(6)
     cfg = AdmmConfig(lam=0.1, rho=1.0)
     st = state(A, np.zeros(6), np.zeros(6))
     with pytest.raises(InputError):
         admm_run(HINGE, np.ones(5), A, cfg, [st])
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_step_of_a_block_in_either_order_equals_its_columns_alone(order, rng):
+    # The per-column solves must land in the block's dc whatever the layout
+    # of the arrays passed in.
+    A, y = random_instance(30)
+    cfg = AdmmConfig(lam=0.3, rho=2.0)
+    factor = c_factor(A, cfg)
+    starts = [initial_state(A, rng) for _ in range(2)]
+    block = AdmmState(*(np.array([getattr(s, f) for s in starts]).T.copy(order=order)
+                        for f in ("alpha", "c", "ac")), k=0)
+    assert block.c.flags[f"{order}_CONTIGUOUS"]
+    for _ in range(3):
+        block = admm_step(PL2, y[:, None], A, cfg, block, factor)
+        starts = [admm_step(PL2, y, A, cfg, s, factor) for s in starts]
+        for i, s in enumerate(starts):
+            for f in ("alpha", "c", "ac"):
+                np.testing.assert_array_equal(getattr(block, f)[:, i], getattr(s, f))
 
 
 def test_multiplier_identity_after_every_step():
