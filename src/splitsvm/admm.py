@@ -343,11 +343,20 @@ def admm_run(
     clears the threshold, since the guarantee only applies above it; its
     warnings from different starts may interleave.  A non-finite objective
     or residual stops that start with status "diverged".  Raises
-    DefinitenessError when 2 lam I + rho A is not positive definite.
+    DefinitenessError when 2 lam I + rho A is not positive definite, and
+    InputError when ``inits`` is empty or a start's arrays are not of
+    shape (N,).
     """
     labels = np.asarray(labels, dtype=float)
     if labels.shape != (A.size,):
         raise InputError("labels must match the kernel matrix size")
+    if not inits:
+        raise InputError("admm_run needs at least one start")
+    for j, s in enumerate(inits):
+        for name in ("alpha", "c", "ac"):
+            shape = np.shape(getattr(s, name))
+            if shape != (A.size,):
+                raise InputError(f"start {j}: {name} must have shape ({A.size},), got {shape}")
     y = labels[:, None]
     monitor_descent = rho_check is not None and rho_check.ok
     if factor is None:

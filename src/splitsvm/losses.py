@@ -14,22 +14,24 @@ The per-coordinate subproblem of the ADMM splitting loop is
 
     minimize over a:   L(y, a) / n  +  (rho / 2) * (a - u)^2,
 
-with anchor u.  In the margin variable z = y * a (and v = y * u) the loss is
-piecewise, so the global minimizer is found exactly by enumerating, per
-piece, the stationary points of the quadratic-plus-piece restriction, the
-breakpoints, and taking the best candidate.  Affine pieces with slope s give
-the stationary point z = v - s / (rho * n); the logarithmic piece gives the
-real roots of z^2 - (2 + v) z + 2 v + 1 / (rho * n) = 0.  Each of the four
-named losses has a closed-form table: hinge and ramp collapse to branch
-tables, and pl2 and tlog evaluate the enumerator's candidates as fixed
-array expressions.  The enumerator stays as the oracle the tables are
-tested against and as the solver for any other MarginLoss.
+with anchor u.  In the margin variable z = y * a (and v = y * u, with
+h = 1 / (rho * n)) the global minimizer is one of a few candidates: the
+stationary point of each piece clipped to that piece, and the breakpoints.
+An affine piece with slope s has its stationary point at z = v - s h; the
+logarithmic piece has the real roots of z^2 - (2 + v) z + 2 v + h = 0.
+Each loss solves its subproblem in closed form over these candidates:
+hinge, and ramp for h < 2, collapse to branch tables; pl2, tlog, and ramp
+for h >= 2 score every candidate with a fixed array expression and keep
+the best.  The tests check every table against an enumerator over the
+pieces (``tests/_oracles.py``).
 
 Ties within TIE_TOL of the minimal objective resolve to the smallest
-minimizer a.  A NaN anchor gives a NaN minimizer, and a NaN margin a NaN
-loss.
+minimizer a (the hinge and ramp branch tables keep their own boundaries on
+near-ties; see prox_vector).  A NaN anchor gives a NaN minimizer, and a NaN
+margin a NaN loss.
 """
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import reduce
 
@@ -44,176 +46,31 @@ _INF = float("inf")
 
 
 @dataclass(frozen=True)
-class Piece:
-    """One piece of a margin loss on [lo, hi): affine b + s*z or log(2 - z)."""
-
-    lo: float
-    hi: float
-    kind: str  # "affine" | "log"
-    slope: float = 0.0
-    intercept: float = 0.0
-
-
-@dataclass(frozen=True)
 class MarginLoss:
+    """A named margin loss: its value at margins z, elementwise, and the
+    exact subproblem minimizers ``prox(y, v, h, rho, n)`` (see prox_vector)."""
+
     name: str
-    pieces: tuple
-    breakpoints: tuple = field(init=False)
-
-    def __post_init__(self):
-        if not self.pieces:
-            raise InputError("a margin loss needs at least one piece")
-        if self.pieces[0].lo != -_INF or self.pieces[-1].hi != _INF:
-            raise InputError("pieces must cover the whole real line")
-        for left, right in zip(self.pieces, self.pieces[1:]):
-            if left.hi != right.lo:
-                raise InputError("pieces must partition the line without gaps")
-        object.__setattr__(
-            self, "breakpoints", tuple(p.hi for p in self.pieces if p.hi < _INF)
-        )
-
-
-HINGE = MarginLoss(
-    "hinge",
-    (
-        Piece(-_INF, 1.0, "affine", slope=-1.0, intercept=1.0),
-        Piece(1.0, _INF, "affine"),
-    ),
-)
-
-PL2 = MarginLoss(
-    "pl2",
-    (
-        Piece(-_INF, 0.0, "affine", slope=-1.0, intercept=2.0),
-        Piece(0.0, 1.0, "affine", slope=-2.0, intercept=2.0),
-        Piece(1.0, _INF, "affine"),
-    ),
-)
-
-TLOG = MarginLoss(
-    "tlog",
-    (
-        Piece(-_INF, 1.0, "log"),
-        Piece(1.0, _INF, "affine"),
-    ),
-)
-
-RAMP = MarginLoss(
-    "ramp",
-    (
-        Piece(-_INF, 0.0, "affine", slope=0.0, intercept=1.0),
-        Piece(0.0, 1.0, "affine", slope=-1.0, intercept=1.0),
-        Piece(1.0, _INF, "affine"),
-    ),
-)
-
-LOSSES = {loss.name: loss for loss in (HINGE, PL2, TLOG, RAMP)}
-
-
-def get_loss(name: str) -> MarginLoss:
-    try:
-        return LOSSES[name]
-    except KeyError:
-        raise InputError(
-            f"unknown loss {name!r}; choose from {sorted(LOSSES)}"
-        ) from None
-
-
-def margin_value(loss: MarginLoss, z):
-    """Loss as a function of the margin z; accepts scalars or arrays."""
-    zarr = np.asarray(z, dtype=float)
-    # One expression per named loss, equal bit for bit to the piece loop
-    # below on finite margins: the slopes are 0, -1 and -2, so
-    # intercept + slope * z rounds exactly like these.
-    if loss == HINGE:
-        out = np.maximum(1.0 - zarr, 0.0)
-    elif loss == PL2:
-        out = np.where(zarr < 0.0, 2.0 - zarr, np.maximum(2.0 - 2.0 * zarr, 0.0))
-    elif loss == TLOG:
-        out = np.log(2.0 - np.minimum(zarr, 1.0))
-    elif loss == RAMP:
-        out = np.minimum(np.maximum(1.0 - zarr, 0.0), 1.0)
-    else:
-        out = _piece_values(loss, zarr)
-    return float(out) if zarr.ndim == 0 else out
-
-
-def _piece_values(loss, z):
-    """margin_value by a loop over the pieces; no piece holds a NaN margin,
-    which keeps its NaN fill.  A flat piece takes its intercept, also at an
-    infinite margin."""
-    zflat = np.atleast_1d(z)
-    out = np.full_like(zflat, np.nan)
-    for piece in loss.pieces:
-        mask = zflat >= piece.lo
-        if piece.hi < _INF:
-            mask &= zflat < piece.hi
-        if piece.kind == "affine" and piece.slope == 0.0:
-            out[mask] = piece.intercept
-        elif piece.kind == "affine":
-            out[mask] = piece.intercept + piece.slope * zflat[mask]
-        else:
-            out[mask] = np.log(2.0 - zflat[mask])
-    return out.reshape(z.shape)
-
-
-def _candidate_margins(loss, v, h):
-    """Candidate minimizers in the margin variable, one array per candidate."""
-    cands = []
-    for piece in loss.pieces:
-        if piece.kind == "affine":
-            z = v - piece.slope * h
-            cands.append(np.clip(z, piece.lo, piece.hi))
-        else:
-            # Stationary points of log(2 - z)/n + (rho/2)(z - v)^2 solve
-            # z^2 - (2 + v) z + 2 v + h = 0 with h = 1/(rho n).
-            disc = (2.0 - v) ** 2 - 4.0 * h
-            root = np.sqrt(np.maximum(disc, 0.0))
-            for sign in (-1.0, 1.0):
-                z = 0.5 * ((2.0 + v) + sign * root)
-                z = np.where(disc < 0.0, piece.hi, z)
-                cands.append(np.clip(z, piece.lo, piece.hi))
-    for b in loss.breakpoints:
-        cands.append(np.full_like(v, b))
-    return cands
-
-
-def prox_vector_enumerated(loss, rho, n, labels, anchors) -> np.ndarray:
-    """Exact elementwise subproblem solutions by candidate enumeration."""
-    y = np.asarray(labels, dtype=float)
-    u = np.asarray(anchors, dtype=float)
-    h = 1.0 / (rho * n)
-    v = y * u
-    zs = np.stack(_candidate_margins(loss, v, h), axis=-1)
-    vals = margin_value(loss, zs) / n + 0.5 * rho * (zs - v[..., None]) ** 2
-    alphas = y[..., None] * zs
-    best = np.min(vals, axis=-1, keepdims=True)
-    # A NaN anchor makes every objective NaN, so no candidate is dropped and
-    # the NaN candidates carry through the minimum.
-    return np.min(np.where(vals > best + TIE_TOL, _INF, alphas), axis=-1)
+    value: Callable = field(repr=False)
+    prox: Callable = field(repr=False)
 
 
 def _smallest_tied(y, zs, vals):
-    """The enumerator's rule on fixed candidates: the smallest a = y z among
-    the margins zs whose objectives vals lie within TIE_TOL of the best."""
+    """The smallest a = y z among the candidate margins zs whose objectives
+    vals lie within TIE_TOL of the best."""
     limit = reduce(np.minimum, vals) + TIE_TOL
     return reduce(np.minimum, [np.where(f > limit, _INF, y * z) for z, f in zip(zs, vals)])
 
 
-def _hinge_closed(v, h):
-    return np.where(v < 1.0 - h, v + h, np.where(v < 1.0, 1.0, v))
+def _hinge_prox(y, v, h, rho, n):
+    return y * np.where(v < 1.0 - h, v + h, np.where(v < 1.0, 1.0, v))
 
 
-def _ramp_closed(v, h):
-    # Valid branch table only for 0 < h < 2.
-    return np.where(v <= -0.5 * h, v, np.where(v <= 1.0 - h, v + h, np.where(v < 1.0, 1.0, v)))
-
-
-def _pl2_closed(y, v, h, rho, n):
-    # The enumerator's candidates for PL2: the clipped stationary point of
-    # each piece, then the breakpoints 0 and 1.  Each objective repeats the
-    # enumerator's operations, with the loss written out (2 at z = 0, 0 for
-    # z >= 1), so it rounds the same.
+def _pl2_prox(y, v, h, rho, n):
+    # The candidates: the clipped stationary point of each piece, then the
+    # breakpoints 0 and 1.  Each objective is the loss written out (2 at
+    # z = 0, 0 for z >= 1) plus (rho/2)(z - v)^2 in the order of operations
+    # of the tests' enumerator, so that ties round alike in both.
     c = 0.5 * rho
     z_neg = np.minimum(v + h, 0.0)
     z_mid = np.minimum(np.maximum(v + 2.0 * h, 0.0), 1.0)
@@ -228,9 +85,9 @@ def _pl2_closed(y, v, h, rho, n):
     return _smallest_tied(y, (z_neg, z_mid, z_flat, 0.0, 1.0), vals)
 
 
-def _tlog_closed(y, v, h, rho, n):
-    # The enumerator's candidates for TLOG: both clipped roots of the log
-    # piece (1 when there is no real root), the flat piece, the breakpoint.
+def _tlog_prox(y, v, h, rho, n):
+    # The candidates: both clipped roots of the log piece (1 when there is
+    # no real root), the flat piece, the breakpoint 1.
     c = 0.5 * rho
     disc = (2.0 - v) ** 2 - 4.0 * h
     root = np.sqrt(np.maximum(disc, 0.0))
@@ -248,34 +105,84 @@ def _tlog_closed(y, v, h, rho, n):
     return _smallest_tied(y, (z_small, z_large, z_flat, 1.0), vals)
 
 
+def _ramp_prox(y, v, h, rho, n):
+    if h < 2.0:
+        z = np.where(v <= -0.5 * h, v, np.where(v <= 1.0 - h, v + h, np.where(v < 1.0, 1.0, v)))
+        # At v = -h/2 the flat and sloped pieces tie; the smaller minimizer
+        # is -h/2 for either label.
+        return np.where(v == -0.5 * h, -0.5 * h, y * z)
+    # From h = 2 on the sloped branch (-h/2, 1 - h] is empty and the flat
+    # piece competes with the margin directly: score every candidate as
+    # pl2 does (the loss is 1 for z <= 0).
+    c = 0.5 * rho
+    z_neg = np.minimum(v, 0.0)
+    z_mid = np.minimum(np.maximum(v + h, 0.0), 1.0)
+    z_flat = np.maximum(v, 1.0)
+    vals = (
+        1.0 / n + c * (z_neg - v) ** 2,
+        (1.0 - z_mid) / n + c * (z_mid - v) ** 2,
+        c * (z_flat - v) ** 2,
+        1.0 / n + c * v ** 2,
+        c * (1.0 - v) ** 2,
+    )
+    return _smallest_tied(y, (z_neg, z_mid, z_flat, 0.0, 1.0), vals)
+
+
+def _hinge_value(z):
+    return np.maximum(1.0 - z, 0.0)
+
+
+def _pl2_value(z):
+    return np.where(z < 0.0, 2.0 - z, np.maximum(2.0 - 2.0 * z, 0.0))
+
+
+def _tlog_value(z):
+    return np.log(2.0 - np.minimum(z, 1.0))
+
+
+def _ramp_value(z):
+    return np.minimum(np.maximum(1.0 - z, 0.0), 1.0)
+
+
+HINGE = MarginLoss("hinge", _hinge_value, _hinge_prox)
+PL2 = MarginLoss("pl2", _pl2_value, _pl2_prox)
+TLOG = MarginLoss("tlog", _tlog_value, _tlog_prox)
+RAMP = MarginLoss("ramp", _ramp_value, _ramp_prox)
+
+LOSSES = {loss.name: loss for loss in (HINGE, PL2, TLOG, RAMP)}
+
+
+def get_loss(name: str) -> MarginLoss:
+    try:
+        return LOSSES[name]
+    except KeyError:
+        raise InputError(
+            f"unknown loss {name!r}; choose from {sorted(LOSSES)}"
+        ) from None
+
+
+def margin_value(loss: MarginLoss, z):
+    """Loss as a function of the margin z; accepts scalars or arrays."""
+    zarr = np.asarray(z, dtype=float)
+    out = loss.value(zarr)
+    return float(out) if zarr.ndim == 0 else out
+
+
 def prox_vector(loss, rho, n, labels, anchors) -> np.ndarray:
-    """Elementwise subproblem solutions; closed forms for the named losses.
+    """Elementwise subproblem solutions, by each loss's closed form.
 
     ``labels`` and ``anchors`` are broadcast-compatible arrays; the result
-    has their common shape.  The pl2 and tlog tables equal
-    prox_vector_enumerated bit for bit, tie rule included; the hinge and
-    ramp branch tables agree with it except on anchors whose candidates are
+    has their common shape.  The pl2, tlog and wide (h >= 2) ramp tables
+    follow the TIE_TOL smallest-minimizer rule exactly.  The hinge and ramp
+    branch tables follow it too, except on anchors whose candidates are
     within TIE_TOL of a tie without being equal, where they keep their own
-    branch's minimizer, whose objective is within TIE_TOL of the
-    enumerator's.
+    branch's minimizer, whose objective is within TIE_TOL of the smallest
+    one's.
     """
     if not (rho > 0 and np.isfinite(rho)):
         raise InputError(f"rho must be positive, got {rho}")
-    if n < 1:
-        raise InputError(f"sample count must be at least 1, got {n}")
+    if not (n >= 1 and float(n).is_integer()):
+        raise InputError(f"sample count must be an integer of at least 1, got {n}")
     y = np.asarray(labels, dtype=float)
-    u = np.asarray(anchors, dtype=float)
-    h = 1.0 / (rho * n)
-    v = y * u
-    if loss == HINGE:
-        return y * _hinge_closed(v, h)
-    if loss == PL2:
-        return _pl2_closed(y, v, h, rho, n)
-    if loss == TLOG:
-        return _tlog_closed(y, v, h, rho, n)
-    if loss == RAMP and h < 2.0:
-        alpha = y * _ramp_closed(v, h)
-        # At v = -h/2 the flat and sloped pieces tie; the smaller minimizer
-        # is -h/2 for either label.
-        return np.where(v == -0.5 * h, -0.5 * h, alpha)
-    return prox_vector_enumerated(loss, rho, n, y, u)
+    v = y * np.asarray(anchors, dtype=float)
+    return loss.prox(y, v, 1.0 / (rho * n), rho, n)

@@ -1,16 +1,23 @@
 """Independent brute-force oracles used by the unit and acceptance tests.
 
-Everything here deliberately avoids the candidate-enumeration machinery in
-``splitsvm.losses``: minima are located by dense grid scans and linear systems
-are solved with dense factorizations, so agreement is meaningful evidence.
-Kernel values, the training objective and the augmented Lagrangian are
-written out from their definitions with ``margin_value`` and plain numpy, not
-through the helpers ``splitsvm.admm`` uses inside its loop.
+Minima are located by dense grid scans or by enumerating every candidate of
+a piecewise loss, and linear systems are solved with dense factorizations,
+so agreement with ``splitsvm`` is meaningful evidence.  The enumerator
+scores its candidates with its own loop over each loss's pieces, not with
+the expressions ``splitsvm.losses`` evaluates.  Kernel values, the training
+objective and the augmented Lagrangian are written out from their
+definitions with ``margin_value`` and plain numpy, not through the helpers
+``splitsvm.admm`` uses inside its loop.
 """
+
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from splitsvm.losses import margin_value
+from splitsvm.errors import InputError
+from splitsvm.losses import TIE_TOL, margin_value
+
+_INF = float("inf")
 
 COARSE_STEP = 1e-4
 FINE_STEP = 1e-7
@@ -54,6 +61,123 @@ def random_prox_cases(count, seed):
     ns = rng.integers(1, 1001, size=count)
     anchors = rng.uniform(-10.0, 10.0, size=count)
     return zip(labels, rhos, ns, anchors)
+
+
+@dataclass(frozen=True)
+class Piece:
+    """One piece of a margin loss on [lo, hi): affine b + s*z or log(2 - z)."""
+
+    lo: float
+    hi: float
+    kind: str  # "affine" | "log"
+    slope: float = 0.0
+    intercept: float = 0.0
+
+
+@dataclass(frozen=True)
+class PiecewiseLoss:
+    """A margin loss given by pieces that partition the real line."""
+
+    name: str
+    pieces: tuple
+    breakpoints: tuple = field(init=False)
+
+    def __post_init__(self):
+        if not self.pieces:
+            raise InputError("a margin loss needs at least one piece")
+        if self.pieces[0].lo != -_INF or self.pieces[-1].hi != _INF:
+            raise InputError("pieces must cover the whole real line")
+        for left, right in zip(self.pieces, self.pieces[1:]):
+            if left.hi != right.lo:
+                raise InputError("pieces must partition the line without gaps")
+        object.__setattr__(
+            self, "breakpoints", tuple(p.hi for p in self.pieces if p.hi < _INF)
+        )
+
+
+#: The pieces of each named loss in ``splitsvm.losses``, keyed by its name.
+PIECEWISE = {
+    loss.name: loss
+    for loss in (
+        PiecewiseLoss("hinge", (
+            Piece(-_INF, 1.0, "affine", slope=-1.0, intercept=1.0),
+            Piece(1.0, _INF, "affine"),
+        )),
+        PiecewiseLoss("pl2", (
+            Piece(-_INF, 0.0, "affine", slope=-1.0, intercept=2.0),
+            Piece(0.0, 1.0, "affine", slope=-2.0, intercept=2.0),
+            Piece(1.0, _INF, "affine"),
+        )),
+        PiecewiseLoss("tlog", (
+            Piece(-_INF, 1.0, "log"),
+            Piece(1.0, _INF, "affine"),
+        )),
+        PiecewiseLoss("ramp", (
+            Piece(-_INF, 0.0, "affine", slope=0.0, intercept=1.0),
+            Piece(0.0, 1.0, "affine", slope=-1.0, intercept=1.0),
+            Piece(1.0, _INF, "affine"),
+        )),
+    )
+}
+
+
+def piece_values(pw, z):
+    """The loss at margins z by a loop over the pieces of ``pw``.  No piece
+    holds a NaN margin, which keeps its NaN fill; a flat piece takes its
+    intercept, also at an infinite margin."""
+    z = np.asarray(z, dtype=float)
+    zflat = np.atleast_1d(z)
+    out = np.full_like(zflat, np.nan)
+    for piece in pw.pieces:
+        mask = zflat >= piece.lo
+        if piece.hi < _INF:
+            mask &= zflat < piece.hi
+        if piece.kind == "affine" and piece.slope == 0.0:
+            out[mask] = piece.intercept
+        elif piece.kind == "affine":
+            out[mask] = piece.intercept + piece.slope * zflat[mask]
+        else:
+            out[mask] = np.log(2.0 - zflat[mask])
+    return out.reshape(z.shape)
+
+
+def candidate_margins(pw, v, h):
+    """Candidate minimizers in the margin variable, one array per candidate:
+    each piece's stationary points clipped to it, then the breakpoints."""
+    cands = []
+    for piece in pw.pieces:
+        if piece.kind == "affine":
+            z = v - piece.slope * h
+            cands.append(np.clip(z, piece.lo, piece.hi))
+        else:
+            # Stationary points of log(2 - z)/n + (rho/2)(z - v)^2 solve
+            # z^2 - (2 + v) z + 2 v + h = 0 with h = 1/(rho n).
+            disc = (2.0 - v) ** 2 - 4.0 * h
+            root = np.sqrt(np.maximum(disc, 0.0))
+            for sign in (-1.0, 1.0):
+                z = 0.5 * ((2.0 + v) + sign * root)
+                z = np.where(disc < 0.0, piece.hi, z)
+                cands.append(np.clip(z, piece.lo, piece.hi))
+    for b in pw.breakpoints:
+        cands.append(np.full_like(v, b))
+    return cands
+
+
+def prox_enumerated(loss, rho, n, labels, anchors):
+    """Exact elementwise subproblem solutions of a named loss by candidate
+    enumeration over its pieces; ties within TIE_TOL go to the smallest a."""
+    pw = PIECEWISE[loss.name]
+    y = np.asarray(labels, dtype=float)
+    u = np.asarray(anchors, dtype=float)
+    h = 1.0 / (rho * n)
+    v = y * u
+    zs = np.stack(candidate_margins(pw, v, h), axis=-1)
+    vals = piece_values(pw, zs) / n + 0.5 * rho * (zs - v[..., None]) ** 2
+    alphas = y[..., None] * zs
+    best = np.min(vals, axis=-1, keepdims=True)
+    # A NaN anchor makes every objective NaN, so no candidate is dropped and
+    # the NaN candidates carry through the minimum.
+    return np.min(np.where(vals > best + TIE_TOL, _INF, alphas), axis=-1)
 
 
 def dense_solve(matrix, b):

@@ -19,6 +19,7 @@ from _oracles import (
     dense_solve,
     grid_prox,
     lagrangian,
+    prox_enumerated,
     prox_subproblem,
     random_prox_cases,
 )
@@ -41,7 +42,6 @@ from splitsvm.losses import (
     TLOG,
     get_loss,
     prox_vector,
-    prox_vector_enumerated,
 )
 from splitsvm.model import predict_labels, rho_condition, train_multistart
 
@@ -86,8 +86,8 @@ def test_c01_prox_matches_grid_oracle_suite():
 
 
 # ---------------------------------------------------------------------------
-# 2. closed-form tables: hinge and ramp branch by branch, pl2 and tlog bit
-#    for bit against the enumerator, both labels
+# 2. closed-form tables: hinge and ramp branch by branch, pl2, tlog and the
+#    wide ramp bit for bit against the oracle's enumerator, both labels
 # ---------------------------------------------------------------------------
 
 
@@ -118,7 +118,7 @@ def test_c02_closed_form_branch_tables():
                     problems.append(
                         f"{loss.name} y={label} v={v}: got {a}, expected {expected}"
                     )
-                ref = prox_vector_enumerated(
+                ref = prox_enumerated(
                     loss, rho, n, np.array([float(label)]), np.array([anchor])
                 )[0]
                 if a != ref:
@@ -137,15 +137,15 @@ def test_c02_closed_form_branch_tables():
             problems.append(f"ramp tie y={label}: candidate gap {tie_gap:.3e}")
         if a != -h / 2.0:
             problems.append(f"ramp tie y={label}: got {a}, expected {-h / 2.0}")
-        ref = prox_vector_enumerated(
+        ref = prox_enumerated(
             RAMP, rho, n, np.array([float(label)]), np.array([anchor])
         )[0]
         if a != ref:
             problems.append(f"ramp tie y={label}: closed form {a} != enumerator {ref}")
 
-    # pl2 and tlog evaluate the enumerator's candidates in closed form, so
-    # they must agree bit for bit everywhere, including on the anchors where
-    # two candidates tie and the smaller a wins (h >= 2 included).
+    # pl2, tlog and the ramp at h >= 2 score the enumerator's candidates in
+    # closed form, so they must agree bit for bit everywhere, including on
+    # the anchors where two candidates tie and the smaller a wins.
     rng = np.random.default_rng(202)
     grid = np.concatenate([np.linspace(-4.0, 4.0, 8001), rng.uniform(-10.0, 10.0, 2000)])
     for rho, n in ((5.0, 300), (1.0, 1000), (0.8, 5), (0.05, 300), (0.5, 1), (0.1, 1)):
@@ -154,6 +154,10 @@ def test_c02_closed_form_branch_tables():
             PL2: [0.0, 1.0, h, -h, 1.0 - h, 1.0 - 2.0 * h, -h / 2.0],
             TLOG: [1.0, 2.0 - 2.0 * np.sqrt(h)],
         }
+        if h >= 2.0:
+            # The wide ramp table: the flat piece ties the margin at
+            # 1 - sqrt(2h); -h/2 is the h < 2 table's tie point.
+            ties[RAMP] = [0.0, 1.0, 1.0 - np.sqrt(2.0 * h), -h / 2.0]
         for loss, points in ties.items():
             pts = np.array(points)
             near = np.concatenate([pts, np.nextafter(pts, np.inf), np.nextafter(pts, -np.inf),
@@ -162,7 +166,7 @@ def test_c02_closed_form_branch_tables():
             for label in (1.0, -1.0):
                 y = np.full_like(v, label)
                 fast = prox_vector(loss, rho, n, y, label * v)
-                ref = prox_vector_enumerated(loss, rho, n, y, label * v)
+                ref = prox_enumerated(loss, rho, n, y, label * v)
                 diff = np.flatnonzero(fast.view(np.int64) != ref.view(np.int64))
                 if diff.size:
                     i = diff[0]
@@ -172,8 +176,8 @@ def test_c02_closed_form_branch_tables():
                     )
 
     report(2, "hinge/ramp branch tables (both labels, tie point) and pl2/tlog "
-              "tables (bit for bit on grids and ties) match the generic "
-              "enumerator", problems)
+              "and wide ramp tables (bit for bit on grids and ties) match the "
+              "oracle's enumerator", problems)
 
 
 # ---------------------------------------------------------------------------

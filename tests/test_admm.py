@@ -182,6 +182,21 @@ def test_run_rejects_mismatched_labels():
         admm_run(HINGE, np.ones(5), A, cfg, [st])
 
 
+def test_run_rejects_no_starts():
+    A, _ = random_instance(6)
+    with pytest.raises(InputError, match="at least one start"):
+        admm_run(HINGE, np.ones(6), A, AdmmConfig(lam=0.1, rho=1.0), [])
+
+
+@pytest.mark.parametrize("field", ["alpha", "c", "ac"])
+def test_run_rejects_a_start_of_the_wrong_shape(field):
+    A, _ = random_instance(6)
+    good = state(A, np.zeros(6), np.zeros(6))
+    bad = replace(good, **{field: np.zeros(5)})
+    with pytest.raises(InputError, match=f"start 1: {field} must have shape"):
+        admm_run(HINGE, np.ones(6), A, AdmmConfig(lam=0.1, rho=1.0), [good, bad])
+
+
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_step_of_a_block_in_either_order_equals_its_columns_alone(order, rng):
     # The per-column solves must land in the block's dc whatever the layout

@@ -74,10 +74,12 @@ def test_removed_api_stays_removed():
         for name in (
             "prox", "ProxParams", "prox_objective", "loss_value", "eval_kernel",
             "classify", "decision_value", "rkhs_norm_sq", "rkhs_step_norm",
-            "lagrangian", "objective_value", "JITTER",
+            "lagrangian", "objective_value", "JITTER", "Piece",
+            "prox_vector_enumerated", "_piece_values", "_candidate_margins",
         ):
             assert not hasattr(mod, name), f"{mod.__name__}.{name}"
-    assert not hasattr(splitsvm.HINGE, "admissible_at_zero")
+    for attr in ("admissible_at_zero", "pieces", "breakpoints"):
+        assert not hasattr(splitsvm.HINGE, attr), attr
     assert "jitter" not in inspect.signature(splitsvm.gram).parameters
     assert [f.name for f in dataclasses.fields(splitsvm.admm.AdmmRunResult)] == [
         "state", "trace", "status",

@@ -6,7 +6,16 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from _oracles import grid_prox, prox_subproblem, random_prox_cases
+from _oracles import (
+    PIECEWISE,
+    Piece,
+    PiecewiseLoss,
+    grid_prox,
+    piece_values,
+    prox_enumerated,
+    prox_subproblem,
+    random_prox_cases,
+)
 from splitsvm.admm import _risk
 from splitsvm.errors import InputError
 from splitsvm.losses import (
@@ -16,12 +25,9 @@ from splitsvm.losses import (
     RAMP,
     TIE_TOL,
     TLOG,
-    MarginLoss,
-    Piece,
     get_loss,
     margin_value,
     prox_vector,
-    prox_vector_enumerated,
 )
 
 ALL_LOSSES = [HINGE, PL2, TLOG, RAMP]
@@ -103,39 +109,39 @@ def test_margin_value_scalar_returns_float():
 
 @pytest.mark.parametrize("loss", ALL_LOSSES, ids=lambda l: l.name)
 def test_margin_value_expression_matches_piece_loop(loss, rng):
-    # A copy under another name has the same pieces but no per-loss
-    # expression, so margin_value takes the piece loop for it.
-    copy = MarginLoss(loss.name + "-pieces", loss.pieces)
+    # The oracle's loop over the loss's pieces, against its expression.
+    pw = PIECEWISE[loss.name]
     z = np.concatenate([
         [0.0, -0.0, 1.0, 1.0 - 1e-16, 1.0 + 1e-16, 5e-324, -5e-324, 2.0,
          1e300, -1e300, -1.0, 0.5],
         rng.uniform(-5.0, 5.0, 5000),
         rng.standard_normal(200) * 1e-300,
     ])
-    np.testing.assert_array_equal(bits(margin_value(loss, z)), bits(margin_value(copy, z)))
-    assert bits(margin_value(loss, -0.0)) == bits(margin_value(copy, -0.0))
+    np.testing.assert_array_equal(bits(margin_value(loss, z)), bits(piece_values(pw, z)))
+    assert bits(margin_value(loss, -0.0)) == bits(piece_values(pw, -0.0))
 
 
 def test_piece_loop_at_infinite_margins():
     # A flat piece at an infinite margin is its intercept, not 0 * inf.
-    copy = MarginLoss("x", HINGE.pieces)
+    pw = PIECEWISE["hinge"]
     z = np.array([np.inf, -np.inf])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        out = margin_value(copy, z)
+        out = piece_values(pw, z)
         np.testing.assert_array_equal(out, margin_value(HINGE, z))
-        assert margin_value(copy, math.inf) == margin_value(HINGE, math.inf) == 0.0
-        assert margin_value(copy, -math.inf) == margin_value(HINGE, -math.inf) == math.inf
+        assert piece_values(pw, math.inf) == margin_value(HINGE, math.inf) == 0.0
+        assert piece_values(pw, -math.inf) == margin_value(HINGE, -math.inf) == math.inf
 
 
 @pytest.mark.parametrize("loss", ALL_LOSSES, ids=lambda l: l.name)
 def test_nan_margin_gives_nan_loss(loss):
     z = np.array([np.nan, 0.5, np.nan, 2.0])
-    for variant in (loss, MarginLoss(loss.name + "-pieces", loss.pieces)):
-        out = margin_value(variant, z)
+    pw = PIECEWISE[loss.name]
+    for value in (lambda x: margin_value(loss, x), lambda x: piece_values(pw, x)):
+        out = value(z)
         np.testing.assert_array_equal(np.isnan(out), [True, False, True, False])
         np.testing.assert_array_equal(out[[1, 3]], margin_value(loss, z[[1, 3]]))
-        assert math.isnan(margin_value(variant, math.nan))
+        assert math.isnan(value(math.nan))
 
 
 @pytest.mark.parametrize("loss", ALL_LOSSES, ids=lambda l: l.name)
@@ -143,23 +149,9 @@ def test_nan_anchor_gives_nan_alpha(loss):
     labels = np.array([1.0, -1.0, 1.0, -1.0])
     anchors = np.array([np.nan, np.nan, 0.3, -0.3])
     for rho, n in ((1.0, 2), (0.1, 1)):  # h = 0.5 and h = 10
-        for prox in (prox_vector, prox_vector_enumerated):
+        for prox in (prox_vector, prox_enumerated):
             out = prox(loss, rho, n, labels, anchors)
             np.testing.assert_array_equal(np.isnan(out), [True, True, False, False])
-
-
-def test_dispatch_is_on_pieces_not_name():
-    # A loss named "hinge" with the ramp's pieces must not get the hinge
-    # table or the hinge expression.
-    impostor = MarginLoss("hinge", RAMP.pieces)
-    labels = np.array([1.0, 1.0, 1.0, -1.0, -1.0, -1.0])
-    anchors = np.array([-1.0, -0.3, 0.75, 1.0, 0.3, -0.75])
-    out = prox_vector(impostor, 0.8, 5, labels, anchors)
-    np.testing.assert_array_equal(out, prox_vector_enumerated(impostor, 0.8, 5, labels, anchors))
-    np.testing.assert_array_equal(out, prox_vector(RAMP, 0.8, 5, labels, anchors))
-    assert out[0] == -1.0  # the ramp's flat piece keeps the anchor
-    z = np.array([-3.0, 0.25, 2.0])
-    np.testing.assert_array_equal(margin_value(impostor, z), [1.0, 0.75, 0.0])
 
 
 @pytest.mark.parametrize("loss", ALL_LOSSES, ids=lambda l: l.name)
@@ -167,7 +159,7 @@ def test_continuity_at_breakpoints(loss):
     # Every stock loss is continuous, which is stronger than the lower
     # semi-continuity the solver needs; check one-sided limits meet.
     eps = 1e-9
-    for b in loss.breakpoints:
+    for b in PIECEWISE[loss.name].breakpoints:
         left = margin_value(loss, b - eps)
         right = margin_value(loss, b + eps)
         at = margin_value(loss, b)
@@ -203,7 +195,7 @@ def test_get_loss_unknown_name():
 
 def test_piece_partition_is_validated():
     with pytest.raises(InputError):
-        MarginLoss(
+        PiecewiseLoss(
             "gap",
             (
                 Piece(-math.inf, 0.0, "affine", slope=-1.0, intercept=1.0),
@@ -211,7 +203,7 @@ def test_piece_partition_is_validated():
             ),
         )
     with pytest.raises(InputError):
-        MarginLoss("bounded", (Piece(-5.0, math.inf, "affine"),))
+        PiecewiseLoss("bounded", (Piece(-5.0, math.inf, "affine"),))
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +217,8 @@ def test_piece_partition_is_validated():
         dict(rho=0.0, n=1),
         dict(rho=-1.0, n=1),
         dict(rho=1.0, n=0),
+        dict(rho=1.0, n=math.nan),
+        dict(rho=1.0, n=2.5),
     ],
 )
 def test_prox_params_rejects_bad_inputs(kwargs):
@@ -291,7 +285,7 @@ def test_ramp_tie_negative_label():
 def test_branch_table_near_tie_anchors(loss, label, anchor, table, enumerated):
     rho, n = 0.8, 5
     a = float(prox_vector(loss, rho, n, np.array([label]), np.array([anchor]))[0])
-    e = float(prox_vector_enumerated(loss, rho, n, np.array([label]), np.array([anchor]))[0])
+    e = float(prox_enumerated(loss, rho, n, np.array([label]), np.array([anchor]))[0])
     assert (a, e) == (table, enumerated)
     g = prox_subproblem(loss, rho, n, label, anchor)
     assert abs(float(g(a)) - float(g(e))) <= TIE_TOL
@@ -320,19 +314,19 @@ def test_closed_form_matches_enumerator_random(loss, rng):
         labels = rng.choice([-1.0, 1.0], size=50)
         anchors = rng.uniform(-10.0, 10.0, size=50)
         fast = prox_vector(loss, rho, n, labels, anchors)
-        slow = prox_vector_enumerated(loss, rho, n, labels, anchors)
+        slow = prox_enumerated(loss, rho, n, labels, anchors)
         np.testing.assert_array_equal(bits(fast), bits(slow))
 
 
-def test_ramp_wide_prox_falls_back_to_enumerator(rng):
-    # h = 1/(rho n) >= 2 collapses the ramp's middle branch; the closed form
-    # is not valid there and the vector path must defer to enumeration.
+def test_ramp_wide_prox_matches_oracle(rng):
+    # h = 1/(rho n) >= 2 collapses the ramp's middle branch; the wide table
+    # must still equal the enumerator and reach the grid floor.
     rho, n = 0.1, 1
     labels = rng.choice([-1.0, 1.0], size=60)
     anchors = rng.uniform(-10.0, 10.0, size=60)
     out = prox_vector(RAMP, rho, n, labels, anchors)
-    ref = prox_vector_enumerated(RAMP, rho, n, labels, anchors)
-    np.testing.assert_array_equal(out, ref)
+    ref = prox_enumerated(RAMP, rho, n, labels, anchors)
+    np.testing.assert_array_equal(bits(out), bits(ref))
     for lab, u, a in zip(labels, anchors, out):
         ga, gv = grid_prox(RAMP, rho, n, lab, u)
         g = prox_subproblem(RAMP, rho, n, lab, u)
