@@ -47,11 +47,12 @@ retires when its start converges, diverges or fails, and the block is
 compacted to the columns still running; at the cap all remaining columns
 stop together.
 
-A start stops when ||alpha - A c||_2 < eps0 for the true product: when
-the carried residual passes, A c is formed once by a_dot, which replaces
-the carried one, and the start goes on unless the true residual passes
-too.  It stops as "diverged" when its objective or residual is no longer
-finite.  When rho exceeds the threshold 4 lam / lambda_min(A) the
+A start stops when ||alpha - A c||_2 < eps0 for the true product.  Each
+iteration is one pass: the step, the stop check (a column whose carried
+residual passes gets a_dot's A c in place of the carried one), every
+column's diagnostics, then retirement.  A start stops as "converged" when
+its true residual passes, "diverged" at a non-finite objective or
+residual, and "failed" when d^T A d < 0 for its step d.  When rho exceeds the threshold 4 lam / lambda_min(A) the
 augmented Lagrangian is guaranteed to decrease every iteration, and the
 iterates are bounded; both facts are monitored as diagnostics rather than
 assumed.
@@ -189,7 +190,8 @@ class IterationTrace:
 class AdmmRunResult:
     state: AdmmState
     trace: IterationTrace
-    status: str  # "converged" | "max_iter" | "diverged"
+    status: str  # "converged" | "max_iter" | "diverged" | "failed"
+    error: str | None = None  # why a "diverged" or "failed" start stopped
 
 
 def initial_state(A: GramMatrix, rng: np.random.Generator) -> AdmmState:
@@ -327,22 +329,19 @@ def admm_run(
 
     The starts run as one block, one per column (see the module docstring),
     and each start's result is bit for bit the one it gets when run alone.
-    Returns one entry per start, in order: its AdmmRunResult, or the
-    DefinitenessError that stopped it when d^T A d < 0 for its step d.
+    Returns one AdmmRunResult per start, in order.  A failed start keeps
+    its state at the failing step and its trace up to the step before.
 
-    The test is on the true product.  Each step carries A c (admm_step);
-    when a start's carried residual passes eps0, its A c is formed once by
-    a_dot, replaces the carried one in the state, and the iteration's record
-    is computed from it.  The start stops as "converged" only if that true
-    residual passes too.  The trace's objective and Lagrangian therefore
-    use the carried A c, except on a stop-check record, which uses the true
-    product; a "max_iter" run ends on a carried objective.
+    The test is on the true product: each step carries A c (admm_step), and
+    the stop check replaces a carried A c whose residual passes eps0 by
+    a_dot's before the iteration's record is computed.  The trace's
+    objective and Lagrangian therefore use the carried A c, except on a
+    stop-check record; a "max_iter" run ends on a carried objective.
 
     ``factor`` is c_factor(A, cfg), built here when not given.  The
     monotone-descent diagnostic runs only when ``rho_check`` says rho
     clears the threshold, since the guarantee only applies above it; its
-    warnings from different starts may interleave.  A non-finite objective
-    or residual stops that start with status "diverged".  Raises
+    warnings from different starts may interleave.  Raises
     DefinitenessError when 2 lam I + rho A is not positive definite, and
     InputError when ``inits`` is empty or a start's arrays are not of
     shape (N,).
@@ -377,41 +376,38 @@ def admm_run(
     for _ in range(cfg.max_iter):
         st = admm_step(loss, y, A, cfg, st, factor)
         res = st.alpha - st.ac
+        res_sq = [float(r.dot(r)) for r in res.T]
+        # The stop check: where the carried residual passes, the true product
+        # replaces the carried one, in a copy, so that the step's own output
+        # stays as it was.
+        checked = [i for i, q in enumerate(res_sq) if math.sqrt(q) < cfg.eps0]
+        if checked:
+            st = replace(st, ac=st.ac.copy(order="F"))
+            for i in checked:
+                st.ac[:, i] = a_dot(A, st.c[:, i])
+            res = st.alpha - st.ac
+            res_sq = [float(r.dot(r)) for r in res.T]
         risk_alpha = _risk(loss, y, st.alpha)
         risk_ac = _risk(loss, y, st.ac)
         gamma = 2.0 * cfg.lam * st.c
-        columns = zip(st.c.T, st.ac.T, res.T, gamma.T, (st.c - prev_c).T, (st.ac - prev_ac).T)
-        step_ac = st.ac
-        retired = []
-        for i, (c, ac, r, g, dc, dac) in enumerate(columns):
+        columns = zip(st.c.T, st.ac.T, res.T, res_sq, gamma.T, (st.c - prev_c).T,
+                      (st.ac - prev_ac).T)
+        for i, (c, ac, r, r_sq, g, dc, dac) in enumerate(columns):
             j = starts[i]
             k = k0[j] + st.k
-            res_sq = float(r.dot(r))
-            if math.sqrt(res_sq) < cfg.eps0:
-                # The stop check: the true product replaces the carried one,
-                # in a copy, so that the step's own output stays as it was.
-                if st.ac is step_ac:
-                    st = replace(st, ac=step_ac.copy(order="F"))
-                ac = st.ac[:, i]
-                ac[:] = a_dot(A, c)
-                np.subtract(st.alpha[:, i], ac, out=r)
-                res_sq = float(r.dot(r))
-                risk_ac[i] = _risk(loss, labels, ac)
-                dac = ac - prev_ac[:, i]
-            resid = math.sqrt(res_sq)
+            resid = math.sqrt(r_sq)
             cac = float(c.dot(ac))
-            lag = _lagrangian_given(risk_alpha[i], cfg, g, r, cac, res_sq)
+            lag = _lagrangian_given(risk_alpha[i], cfg, g, r, cac, r_sq)
             obj = risk_ac[i] + cfg.lam * cac
             try:
                 step_norm = math.sqrt(_psd_form(float(dc.dot(dac))))
             except DefinitenessError as exc:
-                results[j] = exc
-                retired.append(i)
+                results[j] = AdmmRunResult(_column_state(st, i, k), traces[j], "failed", str(exc))
                 continue
             traces[j].append(k, lag, obj, resid, step_norm)
             if not (math.isfinite(obj) and math.isfinite(resid)):
-                results[j] = AdmmRunResult(_column_state(st, i, k), traces[j], "diverged")
-                retired.append(i)
+                error = f"diverged at iteration {k} (objective {obj}, residual {resid})"
+                results[j] = AdmmRunResult(_column_state(st, i, k), traces[j], "diverged", error)
                 continue
             if monitor_descent and prev_lag[j] is not None and lag > prev_lag[j] + DESCENT_SLACK:
                 warnings.warn(
@@ -423,9 +419,8 @@ def admm_run(
             prev_lag[j] = lag
             if resid < cfg.eps0:
                 results[j] = AdmmRunResult(_column_state(st, i, k), traces[j], "converged")
-                retired.append(i)
-        if retired:
-            keep = [i for i in range(len(starts)) if i not in retired]
+        keep = [i for i, j in enumerate(starts) if results[j] is None]
+        if len(keep) < len(starts):
             # Indexing whole columns keeps the arrays Fortran-ordered.
             st = AdmmState(alpha=st.alpha[:, keep], c=st.c[:, keep], ac=st.ac[:, keep], k=st.k)
             starts = [starts[i] for i in keep]

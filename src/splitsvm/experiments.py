@@ -53,8 +53,8 @@ def convergence_trace(seed: int, max_iter: int = 10000) -> ConvergenceResult:
     loss = get_loss("tlog")
     init = initial_state(A, np.random.default_rng(seed))
     (run,) = admm_run(loss, train.y, A, cfg, [init])
-    if isinstance(run, DefinitenessError):
-        raise run
+    if run.status == "failed":
+        raise DefinitenessError(run.error)
     return ConvergenceResult(run, A, train, cfg, loss.name)
 
 

@@ -87,20 +87,15 @@ def gram(spec: KernelSpec, points) -> GramMatrix:
         raise InputError("points must be a nonempty 2-D array")
     if not np.all(np.isfinite(pts)):
         raise InputError("points must be finite")
-    n = pts.shape[0]
-    if n == 1:
-        entries = np.ones((1, 1))
-    else:
-        cond = pdist(pts, metric=_METRIC[spec.family])
-        zero = np.flatnonzero(cond == 0.0)
-        if zero.size:
-            iu, ju = np.triu_indices(n, k=1)
-            i, j = int(iu[zero[0]]), int(ju[zero[0]])
-            raise DuplicatePointError(
-                f"points {i} and {j} are identical; the kernel matrix would be singular"
-            )
-        entries = _kernel_of_distances(spec, squareform(cond))
-    return GramMatrix(entries)
+    cond = pdist(pts, metric=_METRIC[spec.family])
+    zero = np.flatnonzero(cond == 0.0)
+    if zero.size:
+        iu, ju = np.triu_indices(pts.shape[0], k=1)
+        i, j = int(iu[zero[0]]), int(ju[zero[0]])
+        raise DuplicatePointError(
+            f"points {i} and {j} are identical; the kernel matrix would be singular"
+        )
+    return GramMatrix(_kernel_of_distances(spec, squareform(cond)))
 
 
 def min_eigenvalue(A: GramMatrix) -> float:

@@ -27,8 +27,8 @@ pieces (``tests/_oracles.py``).
 
 Ties within TIE_TOL of the minimal objective resolve to the smallest
 minimizer a (the hinge and ramp branch tables keep their own boundaries on
-near-ties; see prox_vector).  A NaN anchor gives a NaN minimizer, and a NaN
-margin a NaN loss.
+near-ties; see prox_vector).  A NaN anchor gives a NaN minimizer, an
+infinite anchor gives itself, and a NaN margin gives a NaN loss.
 """
 
 from collections.abc import Callable
@@ -55,11 +55,14 @@ class MarginLoss:
     prox: Callable = field(repr=False)
 
 
-def _smallest_tied(y, zs, vals):
+def _smallest_tied(y, v, zs, vals):
     """The smallest a = y z among the candidate margins zs whose objectives
-    vals lie within TIE_TOL of the best."""
+    vals lie within TIE_TOL of the best.  An infinite anchor v is its own
+    minimizer; the objectives there meet inf - inf."""
     limit = reduce(np.minimum, vals) + TIE_TOL
-    return reduce(np.minimum, [np.where(f > limit, _INF, y * z) for z, f in zip(zs, vals)])
+    a = reduce(np.minimum, [np.where(f > limit, _INF, y * z) for z, f in zip(zs, vals)])
+    inf = np.isinf(v)
+    return np.where(inf, y * v, a) if inf.any() else a
 
 
 def _hinge_prox(y, v, h, rho, n):
@@ -82,7 +85,7 @@ def _pl2_prox(y, v, h, rho, n):
         2.0 / n + c * v ** 2,
         c * (1.0 - v) ** 2,
     )
-    return _smallest_tied(y, (z_neg, z_mid, z_flat, 0.0, 1.0), vals)
+    return _smallest_tied(y, v, (z_neg, z_mid, z_flat, 0.0, 1.0), vals)
 
 
 def _tlog_prox(y, v, h, rho, n):
@@ -102,7 +105,7 @@ def _tlog_prox(y, v, h, rho, n):
         c * (z_flat - v) ** 2,
         c * (1.0 - v) ** 2,
     )
-    return _smallest_tied(y, (z_small, z_large, z_flat, 1.0), vals)
+    return _smallest_tied(y, v, (z_small, z_large, z_flat, 1.0), vals)
 
 
 def _ramp_prox(y, v, h, rho, n):
@@ -125,7 +128,7 @@ def _ramp_prox(y, v, h, rho, n):
         1.0 / n + c * v ** 2,
         c * (1.0 - v) ** 2,
     )
-    return _smallest_tied(y, (z_neg, z_mid, z_flat, 0.0, 1.0), vals)
+    return _smallest_tied(y, v, (z_neg, z_mid, z_flat, 0.0, 1.0), vals)
 
 
 def _hinge_value(z):

@@ -188,19 +188,14 @@ def train_multistart(
     summaries = []
     best = None
     for s, run in enumerate(admm_run(loss, data.y, A, cfg, inits, rho_check, factor)):
-        if isinstance(run, DefinitenessError):
-            summaries.append(StartSummary(s, None, None, None, None, error=str(run)))
+        if run.status == "failed":
+            summaries.append(StartSummary(s, None, None, None, None, error=run.error))
             continue
         rec = run.trace.final
-        diverged = run.status == "diverged"
-        summary = StartSummary(
-            s, rec.objective, run.state.k, rec.residual,
-            run.status == "converged",
-            error=f"diverged at iteration {rec.k} (objective {rec.objective}, "
-                  f"residual {rec.residual})" if diverged else None,
-        )
+        summary = StartSummary(s, rec.objective, run.state.k, rec.residual,
+                               run.status == "converged", error=run.error)
         summaries.append(summary)
-        if not diverged and (best is None or rec.objective < best[1].objective):
+        if run.error is None and (best is None or rec.objective < best[1].objective):
             best = (run, summary)
     if best is None:
         detail = "; ".join(f"start {s.index}: {s.error}" for s in summaries)

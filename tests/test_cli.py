@@ -127,7 +127,8 @@ def test_train_writes_model_and_trace(tmp_path, capsys, data_files):
 def test_train_reports_rho_condition(tmp_path, capsys, data_files):
     train, _ = data_files
     model_path = tmp_path / "model.txt"
-    code = main(train_args(train, model_path))
+    with pytest.warns(RuntimeWarning, match="descent threshold"):
+        code = main(train_args(train, model_path))
     assert code == 0
     assert "rho condition:" in capsys.readouterr().out
 

@@ -82,5 +82,5 @@ def test_removed_api_stays_removed():
         assert not hasattr(splitsvm.HINGE, attr), attr
     assert "jitter" not in inspect.signature(splitsvm.gram).parameters
     assert [f.name for f in dataclasses.fields(splitsvm.admm.AdmmRunResult)] == [
-        "state", "trace", "status",
+        "state", "trace", "status", "error",
     ]
