@@ -1,12 +1,16 @@
-"""Atomic text-file writing.
+"""Text-file helpers shared by the data and model readers and writers.
 
 Output files are written to a temporary file in the destination directory and
 renamed into place, so a failed or interrupted write never leaves a partial
-file behind.
+file behind.  Numeric cells are converted a file at a time by ``float()``, so
+a reader accepts exactly the spellings Python's ``float`` does.
 """
 
 import os
 import tempfile
+from itertools import chain
+
+import numpy as np
 
 
 def write_text_atomic(path: str, text: str) -> None:
@@ -22,3 +26,13 @@ def write_text_atomic(path: str, text: str) -> None:
         except OSError:
             pass
         raise
+
+
+def float_cells(rows, count, width):
+    """float() of every cell of ``count`` rows of ``width`` cells each, as
+    one (count, width) array; None when a cell is not a number."""
+    try:
+        flat = np.fromiter(map(float, chain.from_iterable(rows)), float, count * width)
+    except ValueError:
+        return None
+    return flat.reshape(count, width)

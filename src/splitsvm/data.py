@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import write_text_atomic
+from ._io import float_cells, write_text_atomic
 from .errors import InputError, ParseError
 
 _LABELS = {"1": 1.0, "+1": 1.0, "-1": -1.0}
@@ -64,35 +64,29 @@ def generate_synthetic(n_train: int, n_test: int, seed: int):
     return draw(n_train), draw(n_test)
 
 
-def _read_rows(path):
-    with open(path, encoding="utf-8", newline="") as fh:
-        return [(i + 1, row) for i, row in enumerate(csv.reader(fh))]
-
-
-def _is_numeric_row(row):
-    try:
-        for cell in row:
-            float(cell)
-    except ValueError:
-        return False
-    return True
-
-
 def _data_rows(path):
-    rows = [(ln, row) for ln, row in _read_rows(path) if row]
+    """The nonempty rows of a CSV file after any header, their file line
+    numbers and their common width.
+
+    The whole file goes through one csv.reader; a blank line reads as an
+    empty row and is skipped.  A first row with a cell that is not a number
+    is a header.  ParseError on an empty file or a ragged row.
+    """
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    lines = [ln for ln, row in enumerate(rows, 1) if row]
+    rows = [row for row in rows if row]
     if not rows:
         raise ParseError(f"{path}: file contains no data")
-    if not _is_numeric_row(rows[0][1]):
-        rows = rows[1:]  # header
+    if float_cells(rows[:1], 1, len(rows[0])) is None:
+        rows, lines = rows[1:], lines[1:]  # header
         if not rows:
             raise ParseError(f"{path}: file contains a header but no data")
-    width = len(rows[0][1])
-    for ln, row in rows:
-        if len(row) != width:
-            raise ParseError(
-                f"{path}: line {ln} has {len(row)} fields, expected {width}"
-            )
-    return rows, width
+    width = len(rows[0])
+    if len(set(map(len, rows))) > 1:
+        ln, row = next((ln, row) for ln, row in zip(lines, rows) if len(row) != width)
+        raise ParseError(f"{path}: line {ln} has {len(row)} fields, expected {width}")
+    return rows, lines, width
 
 
 def _parse_features(path, ln, cells, out):
@@ -109,13 +103,25 @@ def _parse_features(path, ln, cells, out):
 
 
 def load_csv(path: str) -> Dataset:
-    """Read a labeled dataset (features..., label)."""
-    rows, width = _data_rows(path)
+    """Read a labeled dataset (features..., label).
+
+    The cells and labels are converted a file at a time; when any of them
+    fails, the row loop goes through the rows again and reports the first
+    bad line and field.
+    """
+    rows, lines, width = _data_rows(path)
     if width < 2:
         raise ParseError(f"{path}: need at least one feature column and a label column")
+    feats = float_cells((row[:-1] for row in rows), len(rows), width - 1)
+    try:
+        labels = np.fromiter((_LABELS[row[-1].strip()] for row in rows), float, len(rows))
+    except KeyError:
+        labels = None
+    if feats is not None and labels is not None and np.all(np.isfinite(feats)):
+        return Dataset(feats, labels)
     feats = np.empty((len(rows), width - 1))
     labels = np.empty(len(rows))
-    for k, (ln, row) in enumerate(rows):
+    for k, (ln, row) in enumerate(zip(lines, rows)):
         raw_label = row[-1].strip()
         if raw_label not in _LABELS:
             raise ParseError(
@@ -127,30 +133,33 @@ def load_csv(path: str) -> Dataset:
 
 
 def load_features_csv(path: str) -> np.ndarray:
-    """Read an unlabeled feature matrix (used by prediction)."""
-    rows, width = _data_rows(path)
+    """Read an unlabeled feature matrix (used by prediction), a file at a
+    time; the row loop runs only to report the first bad line."""
+    rows, lines, width = _data_rows(path)
+    feats = float_cells(rows, len(rows), width)
+    if feats is not None and np.all(np.isfinite(feats)):
+        return feats
     feats = np.empty((len(rows), width))
-    for k, (ln, row) in enumerate(rows):
+    for k, (ln, row) in enumerate(zip(lines, rows)):
         _parse_features(path, ln, row, feats[k])
     return feats
 
 
-def _format_row(values, label=None):
-    cells = [f"{v:.17g}" for v in values]
-    if label is not None:
-        cells.append("1" if label > 0 else "-1")
-    return ",".join(cells)
+def _labeled_text(features, labels):
+    """One line per row: the features with 17 significant digits, then the
+    label as "1" when it is above 0 and "-1" otherwise."""
+    row = ",".join(["%.17g"] * features.shape[1] + ["%s"])
+    signs = ["1" if p else "-1" for p in (np.asarray(labels) > 0).tolist()]
+    lines = [row % (*x, s) for x, s in zip(features.tolist(), signs, strict=True)]
+    return "\n".join(lines) + "\n"
 
 
 def save_csv(ds: Dataset, path: str) -> None:
-    lines = [_format_row(ds.X[i], ds.y[i]) for i in range(ds.n)]
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    write_text_atomic(path, _labeled_text(ds.X, ds.y))
 
 
 def save_labeled_features(features, labels, path: str) -> None:
-    features = np.asarray(features, dtype=float)
-    lines = [_format_row(features[i], labels[i]) for i in range(features.shape[0])]
-    write_text_atomic(path, "\n".join(lines) + "\n")
+    write_text_atomic(path, _labeled_text(np.asarray(features, dtype=float), labels))
 
 
 #: Features with standard deviation below this are centered but not scaled.

@@ -33,7 +33,7 @@ infinite anchor gives itself, and a NaN margin gives a NaN loss.
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import reduce, wraps
 
 import numpy as np
 
@@ -55,20 +55,34 @@ class MarginLoss:
     prox: Callable = field(repr=False)
 
 
-def _smallest_tied(y, v, zs, vals):
+def _smallest_tied(y, zs, vals):
     """The smallest a = y z among the candidate margins zs whose objectives
-    vals lie within TIE_TOL of the best.  An infinite anchor v is its own
-    minimizer; the objectives there meet inf - inf."""
+    vals lie within TIE_TOL of the best."""
     limit = reduce(np.minimum, vals) + TIE_TOL
-    a = reduce(np.minimum, [np.where(f > limit, _INF, y * z) for z, f in zip(zs, vals)])
-    inf = np.isinf(v)
-    return np.where(inf, y * v, a) if inf.any() else a
+    return reduce(np.minimum, [np.where(f > limit, _INF, y * z) for z, f in zip(zs, vals)])
+
+
+def _scoring_table(table):
+    """A table that scores candidates, made to give a = y v at an infinite
+    anchor v, its own minimizer.  The table scores a finite stand-in
+    there, so its objectives never meet inf - inf; finite anchors are
+    scored as they are."""
+
+    @wraps(table)
+    def prox(y, v, h, rho, n):
+        inf = np.isinf(v)
+        if not inf.any():
+            return table(y, v, h, rho, n)
+        return np.where(inf, y * v, table(y, np.where(inf, 0.0, v), h, rho, n))
+
+    return prox
 
 
 def _hinge_prox(y, v, h, rho, n):
     return y * np.where(v < 1.0 - h, v + h, np.where(v < 1.0, 1.0, v))
 
 
+@_scoring_table
 def _pl2_prox(y, v, h, rho, n):
     # The candidates: the clipped stationary point of each piece, then the
     # breakpoints 0 and 1.  Each objective is the loss written out (2 at
@@ -85,9 +99,10 @@ def _pl2_prox(y, v, h, rho, n):
         2.0 / n + c * v ** 2,
         c * (1.0 - v) ** 2,
     )
-    return _smallest_tied(y, v, (z_neg, z_mid, z_flat, 0.0, 1.0), vals)
+    return _smallest_tied(y, (z_neg, z_mid, z_flat, 0.0, 1.0), vals)
 
 
+@_scoring_table
 def _tlog_prox(y, v, h, rho, n):
     # The candidates: both clipped roots of the log piece (1 when there is
     # no real root), the flat piece, the breakpoint 1.
@@ -105,7 +120,7 @@ def _tlog_prox(y, v, h, rho, n):
         c * (z_flat - v) ** 2,
         c * (1.0 - v) ** 2,
     )
-    return _smallest_tied(y, v, (z_small, z_large, z_flat, 1.0), vals)
+    return _smallest_tied(y, (z_small, z_large, z_flat, 1.0), vals)
 
 
 def _ramp_prox(y, v, h, rho, n):
@@ -114,6 +129,11 @@ def _ramp_prox(y, v, h, rho, n):
         # At v = -h/2 the flat and sloped pieces tie; the smaller minimizer
         # is -h/2 for either label.
         return np.where(v == -0.5 * h, -0.5 * h, y * z)
+    return _ramp_wide_prox(y, v, h, rho, n)
+
+
+@_scoring_table
+def _ramp_wide_prox(y, v, h, rho, n):
     # From h = 2 on the sloped branch (-h/2, 1 - h] is empty and the flat
     # piece competes with the margin directly: score every candidate as
     # pl2 does (the loss is 1 for z <= 0).
@@ -128,7 +148,7 @@ def _ramp_prox(y, v, h, rho, n):
         1.0 / n + c * v ** 2,
         c * (1.0 - v) ** 2,
     )
-    return _smallest_tied(y, v, (z_neg, z_mid, z_flat, 0.0, 1.0), vals)
+    return _smallest_tied(y, (z_neg, z_mid, z_flat, 0.0, 1.0), vals)
 
 
 def _hinge_value(z):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import write_text_atomic
+from ._io import float_cells, write_text_atomic
 from .admm import (
     AdmmConfig,
     IterationTrace,
@@ -238,9 +238,8 @@ def save_model(m: TrainedModel, path: str) -> None:
     else:
         lines.append("scaling 0")
     lines.append(f"data {n} {d}")
-    for i in range(n):
-        row = " ".join(_fmt(v) for v in m.inputs[i])
-        lines.append(f"{row} {_fmt(m.coeffs[i])}")
+    row = " ".join(["%.17g"] * (d + 1))
+    lines += [row % tuple(r) for r in np.column_stack([m.inputs, m.coeffs]).tolist()]
     write_text_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -273,6 +272,27 @@ class _Reader:
             return [float(v) for v in raw]
         except ValueError:
             raise ParseError(f"{self.path}: line {ln}: expected numbers, got {raw}") from None
+
+    def data_rows(self, n, width):
+        """The next n lines as an (n, width) array, converted a block at a
+        time; the row loop runs only to report the first bad line."""
+        rows = [line.split() for line in self.lines[self.pos:self.pos + n]]
+        if len(rows) == n and set(map(len, rows)) == {width}:
+            out = float_cells(rows, n, width)
+            if out is not None:
+                self.pos += n
+                return out
+        out = np.empty((n, width))
+        for i in range(n):
+            line, ln = self.next(f"data row {i + 1} of {n}")
+            parts = line.split()
+            if len(parts) != width:
+                raise ParseError(
+                    f"{self.path}: line {ln}: expected {width - 1} features + 1 coefficient, "
+                    f"got {len(parts)} fields"
+                )
+            out[i] = self.floats(parts, ln)
+        return out
 
     def checked(self, key, valid, what, count=None):
         """Values of a '<key> v...' line; ParseError unless valid(values) holds."""
@@ -335,20 +355,10 @@ def load_model(path: str) -> TrainedModel:
         raise ParseError(f"{path}: line {ln}: data sizes must be positive")
     if scaling is not None and scaling.means.shape != (d,):
         raise ParseError(f"{path}: scaling vectors must have {d} entries")
-    inputs = np.empty((n, d))
-    coeffs = np.empty(n)
     first_row_line = r.pos + 1
-    for i in range(n):
-        line, ln = r.next(f"data row {i + 1} of {n}")
-        parts = line.split()
-        if len(parts) != d + 1:
-            raise ParseError(
-                f"{path}: line {ln}: expected {d} features + 1 coefficient, "
-                f"got {len(parts)} fields"
-            )
-        vals = r.floats(parts, ln)
-        inputs[i] = vals[:d]
-        coeffs[i] = vals[d]
+    rows = r.data_rows(n, d + 1)
+    inputs = np.ascontiguousarray(rows[:, :d])
+    coeffs = rows[:, d].copy()
     bad = np.flatnonzero(~(np.isfinite(inputs).all(axis=1) & np.isfinite(coeffs)))
     if bad.size:
         raise ParseError(

@@ -7,9 +7,12 @@ scores its candidates with its own loop over each loss's pieces, not with
 the expressions ``splitsvm.losses`` evaluates.  Kernel values, the training
 objective and the augmented Lagrangian are written out from their
 definitions with ``margin_value`` and plain numpy, not through the helpers
-``splitsvm.admm`` uses inside its loop.
+``splitsvm.admm`` uses inside its loop.  The CSV references read a file
+row by row with ``float()`` on each cell and format each value on its own,
+as the data module once did.
 """
 
+import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -165,19 +168,23 @@ def candidate_margins(pw, v, h):
 
 def prox_enumerated(loss, rho, n, labels, anchors):
     """Exact elementwise subproblem solutions of a named loss by candidate
-    enumeration over its pieces; ties within TIE_TOL go to the smallest a."""
+    enumeration over its pieces; ties within TIE_TOL go to the smallest a.
+    An infinite anchor is its own minimizer, since the quadratic term
+    outgrows every bounded loss."""
     pw = PIECEWISE[loss.name]
     y = np.asarray(labels, dtype=float)
     u = np.asarray(anchors, dtype=float)
     h = 1.0 / (rho * n)
     v = y * u
-    zs = np.stack(candidate_margins(pw, v, h), axis=-1)
-    vals = piece_values(pw, zs) / n + 0.5 * rho * (zs - v[..., None]) ** 2
+    with np.errstate(invalid="ignore"):  # inf - inf at an infinite anchor
+        zs = np.stack(candidate_margins(pw, v, h), axis=-1)
+        vals = piece_values(pw, zs) / n + 0.5 * rho * (zs - v[..., None]) ** 2
     alphas = y[..., None] * zs
     best = np.min(vals, axis=-1, keepdims=True)
     # A NaN anchor makes every objective NaN, so no candidate is dropped and
     # the NaN candidates carry through the minimum.
-    return np.min(np.where(vals > best + TIE_TOL, _INF, alphas), axis=-1)
+    a = np.min(np.where(vals > best + TIE_TOL, _INF, alphas), axis=-1)
+    return np.where(np.isinf(u), u, a)
 
 
 def dense_solve(matrix, b):
@@ -215,3 +222,31 @@ def lagrangian(loss, labels, A, cfg, st):
         + gamma @ split
         + 0.5 * cfg.rho * (split @ split)
     )
+
+
+_CSV_LABELS = {"1": 1.0, "+1": 1.0, "-1": -1.0}
+
+
+def csv_by_cell(path, labeled):
+    """A data CSV read row by row with float() on each cell: blank rows are
+    skipped and a first row with a cell that is not a number is a header.
+    Returns (features, labels), with labels None when ``labeled`` is false."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = [row for row in csv.reader(fh) if row]
+    try:
+        for cell in rows[0]:
+            float(cell)
+    except ValueError:
+        rows = rows[1:]
+    feats = np.array([[float(cell) for cell in (row[:-1] if labeled else row)] for row in rows])
+    labels = np.array([_CSV_LABELS[row[-1].strip()] for row in rows]) if labeled else None
+    return feats, labels
+
+
+def format_row(values, label=None):
+    """One CSV row with each value formatted on its own to 17 significant
+    digits, then the label as "1" above 0 and "-1" otherwise."""
+    cells = [f"{v:.17g}" for v in values]
+    if label is not None:
+        cells.append("1" if label > 0 else "-1")
+    return ",".join(cells)

@@ -1,6 +1,9 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from _oracles import csv_by_cell, format_row
 from splitsvm.data import (
     SCALE_FLOOR,
     Dataset,
@@ -173,6 +176,129 @@ def test_load_csv_ragged_rows_reported_with_line_number(tmp_path):
 def test_load_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         load_csv(str(tmp_path / "nope.csv"))
+
+
+# ---------------------------------------------------------------------------
+# whole-file readers and writers against the per-cell references
+# ---------------------------------------------------------------------------
+
+#: Signed zero, subnormals and values near the top of the double range.
+EDGE_VALUES = [0.0, -0.0, 5e-324, -2.2250738585072009e-308, 1e-310,
+               1.7976931348623157e308, -1e308, 9.999999999999999e307]
+
+
+def bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+def random_features(rng, rows, cols):
+    x = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(-300, 300, size=(rows, cols))
+    x.flat[: len(EDGE_VALUES)] = EDGE_VALUES
+    return x
+
+
+def spelled(rng, v):
+    """v written in one of the spellings the readers take."""
+    v = float(v)
+    return rng.choice([f"{v!r}", f"{v:+.17g}", f"{v:.16E}", f" {v!r} ", f'"{v!r}"'])
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n"])
+@pytest.mark.parametrize("header", [False, True])
+def test_readers_match_the_per_cell_reference(tmp_path, rng, newline, header):
+    x = random_features(rng, 300, 3)
+    signs = rng.choice(["1", "+1", "-1", " +1", "-1 "], size=300)
+    lines = ["x1,x2,x3,label"] if header else []
+    for k, (row, sign) in enumerate(zip(x, signs)):
+        lines.append(",".join([spelled(rng, v) for v in row] + [sign]))
+        if k % 50 == 7:
+            lines.append("")
+    labeled, unlabeled = tmp_path / "labeled.csv", tmp_path / "features.csv"
+    labeled.write_bytes((newline.join(lines) + newline).encode())
+    unlabeled.write_bytes(
+        (newline.join(line.rsplit(",", 1)[0] for line in lines) + newline).encode()
+    )
+
+    ds = load_csv(str(labeled))
+    ref_x, ref_y = csv_by_cell(str(labeled), labeled=True)
+    np.testing.assert_array_equal(bits(ds.X), bits(ref_x))
+    np.testing.assert_array_equal(ds.y, ref_y)
+    np.testing.assert_array_equal(bits(ds.X), bits(x))
+    feats = load_features_csv(str(unlabeled))
+    np.testing.assert_array_equal(bits(feats), bits(csv_by_cell(str(unlabeled), labeled=False)[0]))
+    np.testing.assert_array_equal(bits(feats), bits(x))
+    assert feats.flags.c_contiguous and ds.X.flags.c_contiguous
+
+
+def test_writers_match_the_per_value_formula(tmp_path, rng):
+    x = random_features(rng, 200, 2)
+    y = rng.choice([-1.0, 1.0], size=200)
+    expected = "\n".join(format_row(x[i], y[i]) for i in range(200)) + "\n"
+    save_csv(Dataset(x, y), str(tmp_path / "a.csv"))
+    assert (tmp_path / "a.csv").read_bytes() == expected.encode()
+
+    scores = np.concatenate([y[:-4], [0.0, -0.0, np.nan, 2.5]])
+    expected = "\n".join(format_row(x[i], scores[i]) for i in range(200)) + "\n"
+    save_labeled_features(x, scores, str(tmp_path / "b.csv"))
+    assert (tmp_path / "b.csv").read_bytes() == expected.encode()
+    save_labeled_features(np.empty((0, 2)), np.empty(0), str(tmp_path / "c.csv"))
+    assert (tmp_path / "c.csv").read_bytes() == b"\n"
+
+
+LATE_ROWS = 20000
+
+
+def late_error_file(tmp_path, bad_row, at, labeled=False):
+    """A header, a blank line and LATE_ROWS rows of two features (and a
+    label), with row ``at`` (0-based) replaced; returns (path, file line
+    of that row)."""
+    rows = ["0.5,0.5,1" if labeled else "0.5,0.5"] * LATE_ROWS
+    rows[at] = bad_row
+    path = tmp_path / "late.csv"
+    header = "x1,x2,label" if labeled else "x1,x2"
+    path.write_text("\n".join([header, ""] + rows) + "\n")
+    return str(path), at + 3
+
+
+@pytest.mark.parametrize("load", [load_features_csv, lambda p: load_csv(p).X])
+def test_late_non_number_names_its_line_and_field(tmp_path, load):
+    labeled = load is not load_features_csv
+    path, ln = late_error_file(tmp_path, "0.5,abc,1" if labeled else "0.5,abc", 19990, labeled)
+    with pytest.raises(ParseError) as exc:
+        load(path)
+    assert str(exc.value) == f"{path}: line {ln}: field 2 is not a number: 'abc'"
+
+
+@pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "1e999"])
+def test_late_non_finite_feature_names_its_line(tmp_path, cell):
+    path, ln = late_error_file(tmp_path, f"0.5,{cell}", 19990)
+    with pytest.raises(ParseError) as exc:
+        load_features_csv(path)
+    assert str(exc.value) == f"{path}: line {ln}: features must be finite"
+    path, ln = late_error_file(tmp_path, f"{cell},0.5,-1", 19990, labeled=True)
+    with pytest.raises(ParseError) as exc:
+        load_csv(path)
+    assert str(exc.value) == f"{path}: line {ln}: features must be finite"
+
+
+def test_late_ragged_row_names_its_line(tmp_path):
+    path, ln = late_error_file(tmp_path, "0.5,0.5,0.5", 19990)
+    with pytest.raises(ParseError) as exc:
+        load_features_csv(path)
+    assert str(exc.value) == f"{path}: line {ln} has 3 fields, expected 2"
+
+
+def test_first_bad_row_wins_and_label_comes_first(tmp_path):
+    # Row 15000 has a bad label and a bad feature; row 19990 a bad feature.
+    # The first bad row is named, and within a row the label is checked
+    # before the features.
+    path, ln = late_error_file(tmp_path, "abc,0.5,2", 15000, labeled=True)
+    text = Path(path).read_text().splitlines()
+    text[19990 + 2] = "0.5,xyz,1"
+    Path(path).write_text("\n".join(text) + "\n")
+    with pytest.raises(ParseError) as exc:
+        load_csv(path)
+    assert str(exc.value) == f"{path}: line {ln}: label must be '1', '+1' or '-1', got '2'"
 
 
 # ---------------------------------------------------------------------------

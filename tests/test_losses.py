@@ -158,21 +158,31 @@ def test_nan_anchor_gives_nan_alpha(loss):
 def test_infinite_anchor_gives_the_anchor(loss):
     # Far out, the quadratic term outgrows any bounded loss, so the
     # minimizer at an infinite anchor is the anchor, for either label; a
-    # NaN anchor still gives NaN.  The tables that score their candidates
-    # (pl2, tlog, ramp at h >= 2) meet inf - inf there, which numpy reports
-    # as an invalid value; the branch tables meet none.
+    # NaN anchor still gives NaN.  No table meets inf - inf on the way, so
+    # numpy warns of no invalid value.
     inf, nan = math.inf, math.nan
     labels = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
     anchors = np.array([inf, inf, -inf, -inf, nan, nan])
     for rho, n in ((1.0, 2), (0.1, 1)):  # h = 0.5 and h = 10
-        if loss in (PL2, TLOG) or (loss is RAMP and 1.0 / (rho * n) >= 2.0):
-            with pytest.warns(RuntimeWarning, match="invalid value encountered"):
-                out = prox_vector(loss, rho, n, labels, anchors)
-        else:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                out = prox_vector(loss, rho, n, labels, anchors)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = prox_vector(loss, rho, n, labels, anchors)
         np.testing.assert_array_equal(out, [inf, inf, -inf, -inf, nan, nan])
+
+
+@pytest.mark.parametrize("loss", ALL_LOSSES, ids=lambda l: l.name)
+def test_infinite_anchor_matches_enumerator(loss, rng):
+    # Infinite anchors mixed into finite ones, in both h regimes: every
+    # entry, finite ones included, equals the enumerator's bit for bit.
+    labels = rng.choice([-1.0, 1.0], size=40)
+    anchors = rng.uniform(-10.0, 10.0, size=40)
+    anchors[::4] = math.inf
+    anchors[1::4] = -math.inf
+    for rho, n in ((1.0, 2), (0.1, 1)):  # h = 0.5 and h = 10
+        fast = prox_vector(loss, rho, n, labels, anchors)
+        slow = prox_enumerated(loss, rho, n, labels, anchors)
+        np.testing.assert_array_equal(bits(fast), bits(slow))
+        np.testing.assert_array_equal(fast[np.isinf(anchors)], anchors[np.isinf(anchors)])
 
 
 @pytest.mark.parametrize("loss", ALL_LOSSES, ids=lambda l: l.name)

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -348,6 +350,38 @@ def test_saved_file_round_trips_bytes(tmp_path):
     save_model(model, str(p1))
     save_model(load_model(str(p1)), str(p2))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_data_rows_match_the_per_value_formula(tmp_path, rng):
+    # Each data row is the features and the coefficient formatted one value
+    # at a time to 17 significant digits, and reads back bit for bit into
+    # C-ordered arrays; signed zeros, subnormals and values near 1e308 too.
+    inputs = rng.normal(size=(300, 3)) * 10.0 ** rng.integers(-300, 300, size=(300, 3))
+    inputs.flat[:6] = [-0.0, 5e-324, -1e-310, 1.7976931348623157e308, -1e308, 0.0]
+    coeffs = rng.normal(size=300)
+    coeffs[:3] = [-0.0, 2.2250738585072009e-308, -1.7976931348623157e308]
+    model = toy_model(coeffs, inputs)
+    path = tmp_path / "model.txt"
+    save_model(model, str(path))
+    rows = path.read_text().splitlines()[-300:]
+    assert rows == [" ".join(f"{v:.17g}" for v in inputs[i]) + f" {coeffs[i]:.17g}"
+                    for i in range(300)]
+    back = load_model(str(path))
+    assert back.inputs.flags.c_contiguous and back.coeffs.flags.c_contiguous
+    np.testing.assert_array_equal(back.inputs.view(np.int64), inputs.view(np.int64))
+    np.testing.assert_array_equal(back.coeffs.view(np.int64), coeffs.view(np.int64))
+
+
+@pytest.mark.parametrize("row, message", [
+    ("0.5 abc 1.0", "expected numbers, got ['0.5', 'abc', '1.0']"),
+    ("0.5 1.0", "expected 2 features + 1 coefficient, got 2 fields"),
+])
+def test_load_names_a_bad_late_data_row(tmp_path, row, message):
+    path = write_model_file(tmp_path, lambda ls: ls[:-2] + [row, ls[-1]])
+    ln = len(Path(path).read_text().splitlines()) - 1
+    with pytest.raises(ParseError) as exc:
+        load_model(path)
+    assert str(exc.value) == f"{path}: line {ln}: {message}"
 
 
 def test_model_file_is_versioned_text(tmp_path):
