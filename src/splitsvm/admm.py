@@ -14,10 +14,14 @@ One iteration performs
 
   1. alpha update: n independent scalar subproblems with anchors
      (A c)_i - gamma_i / rho, solved exactly (losses.prox_vector);
-  2. c update: solve (2 lam I + rho A) c = rho alpha + gamma with a Cholesky
-     factor of the fixed matrix (c_factor, built once per train_multistart
-     and shared by its starts), applied by two BLAS triangular solves
-     (trsv, in c_solve) as a correction to the previous c;
+  2. c update: solve (2 lam I + rho A) c = rho alpha + gamma with the
+     explicit inverse of that fixed matrix M (c_inverse: a Cholesky factor
+     turned into M^-1 in place by LAPACK potri, built once per
+     train_multistart and shared by its starts), applied by one BLAS
+     symmetric product (symv, in c_solve) to the residual of the previous
+     c.  A product reads one triangle once, with no dependency chain
+     between its rows, where the two triangular solves of a factor do not.
+     Its rounding error grows with cond(M), as a solve's residual does;
   3. multiplier update: gamma = 2 lam c, the closed form the exact c update
      implies for an invertible A.  The state therefore stores c only, and
      gamma is formed as 2 lam c wherever it is read.
@@ -25,13 +29,13 @@ One iteration performs
 The exact c update also determines the next A c without a product:
 (2 lam I + rho A) c = rho alpha + 2 lam c_prev gives
 A c = alpha + (2 lam / rho) (c_prev - c), an O(N) expression, so an
-iteration reads one N x N operand, the factor.  The carried A c drifts
-from the true product by rounding (about 1e-13 over 3300 iterations at
-N = 1000).  The product itself is formed by BLAS symv (a_dot), which reads
-the same triangle of A that c_factor factors, only by initial_state,
-stationarity_residual and the stop check.  Both level-2 calls read their
-N x N operand in place: GramMatrix keeps its entries C-contiguous, so
-A.entries.T is the Fortran-ordered view symv takes, and the factor is
+iteration reads one N x N operand, M^-1.  The carried A c drifts from the
+true product by rounding (about 1e-13 over 3300 iterations at N = 1000).
+The product itself is formed by BLAS symv (a_dot), which reads the same
+triangle of A that c_inverse inverts, only by initial_state,
+stationarity_residual and the stop check.  Every symv reads its N x N
+operand in place: GramMatrix keeps its entries C-contiguous, so
+A.entries.T is the Fortran-ordered view symv takes, and M^-1 is
 Fortran-ordered.
 
 admm_run iterates all its starts together as one block: alpha, c and the
@@ -39,13 +43,13 @@ carried A c are Fortran-ordered N x S arrays, one start per column.  The
 elementwise work (the prox, the c-update arithmetic, the A c identity, the
 losses) runs once per iteration on the whole block, and each column's risk
 is a pairwise sum along that contiguous column, as for a single vector.
-The BLAS calls stay per column: the two trsv of each c-solve, the symv of
-a stop check and the dot products of the diagnostics, each on a contiguous
-column.  A start's iterates and trace are therefore bit for bit those of
-the same start run alone, whatever starts share its block.  A column
-retires when its start converges, diverges or fails, and the block is
-compacted to the columns still running; at the cap all remaining columns
-stop together.
+The BLAS calls stay per column: the symv with M^-1 of each c-solve, the
+symv of a stop check and the dot products of the diagnostics, each on a
+contiguous column.  A start's iterates and trace are therefore bit for bit
+those of the same start run alone, whatever starts share its block.  A
+column retires when its start converges, diverges or fails, and the block
+is compacted to the columns still running; at the cap all remaining
+columns stop together.
 
 A start stops when ||alpha - A c||_2 < eps0 for the true product.  Each
 iteration is one pass: the step, the stop check (a column whose carried
@@ -63,8 +67,8 @@ from array import array
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cho_factor
-from scipy.linalg.blas import dsymv, dtrsv
+from scipy.linalg.blas import dsymv
+from scipy.linalg.lapack import dpotrf, dpotri
 
 from ._io import write_text_atomic
 from .errors import DefinitenessError, InputError
@@ -76,7 +80,7 @@ DESCENT_SLACK = 1e-9
 
 RHO_POLICIES = ("off", "warn", "error")
 
-#: The triangle of A that c_factor factors and a_dot reads (False: upper,
+#: The triangle of A that c_inverse inverts and a_dot reads (False: upper,
 #: in the Fortran view A.entries.T).
 _LOWER = False
 
@@ -222,49 +226,53 @@ def _lagrangian_given(risk, cfg, gamma, res, cac, res_sq) -> float:
 
 
 def a_dot(A: GramMatrix, c) -> np.ndarray:
-    """The product A c by BLAS symv, reading the triangle c_factor factors."""
+    """The product A c by BLAS symv, reading the triangle c_inverse inverts."""
     return dsymv(1.0, A.entries.T, c, lower=_LOWER)
 
 
-def c_factor(A: GramMatrix, cfg: AdmmConfig):
-    """Cholesky factor of M = 2 lam I + rho A, the matrix of every c-update.
+def c_inverse(A: GramMatrix, cfg: AdmmConfig):
+    """The inverse of M = 2 lam I + rho A, the matrix of every c-update.
 
-    The factor is the only N x N buffer this allocates: rho A is formed
-    transposed (Fortran order, which LAPACK factors in place, and which
-    c_solve's trsv reads without a copy) and its diagonal shifted.  Raises
-    DefinitenessError when M is not positive definite.
+    Returns (inverse, lower): one triangle of M^-1, the lower one when
+    ``lower``, in a Fortran-ordered N x N array, the only N x N buffer this
+    allocates.  rho A is formed transposed (Fortran order) and its diagonal
+    shifted; LAPACK factors it in place (Cholesky, potrf) and turns the
+    factor into M^-1 in place (potri).  Raises DefinitenessError when
+    either step fails, i.e. when M is not positive definite.
     """
     m = (cfg.rho * A.entries).T
     m[np.diag_indices_from(m)] += 2.0 * cfg.lam
-    try:
-        return cho_factor(m, lower=_LOWER, overwrite_a=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise DefinitenessError(f"cannot factor 2 lam I + rho A: {exc}") from None
+    chol, info = dpotrf(m, lower=_LOWER, clean=0, overwrite_a=1)
+    if info != 0:
+        raise DefinitenessError(f"cannot factor 2 lam I + rho A: {info}-th leading minor "
+                                "of the array is not positive definite")
+    inverse, info = dpotri(chol, lower=_LOWER, overwrite_c=1)
+    if info != 0:
+        raise DefinitenessError(f"cannot invert 2 lam I + rho A: LAPACK potri info {info}")
+    return inverse, _LOWER
 
 
-def c_solve(factor, b) -> np.ndarray:
-    """Solve (2 lam I + rho A) x = b with ``factor`` = c_factor(A, cfg).
+def c_solve(inverse, b) -> np.ndarray:
+    """Solve (2 lam I + rho A) x = b with ``inverse`` = c_inverse(A, cfg).
 
-    ``factor`` is a cho_factor tuple (F, lower).  Two BLAS triangular
-    solves: with M = U^T U (upper) they are U^T y = b, then U x = y; with
-    M = L L^T (lower), L y = b, then L^T x = y.  ``b`` is not modified.
+    ``inverse`` is the pair (one triangle of M^-1, lower); x = M^-1 b is
+    one BLAS symv reading that triangle.  ``b`` is not modified.
     """
-    chol, lower = factor
-    y = dtrsv(chol, b, lower=lower, trans=0 if lower else 1)
-    return dtrsv(chol, y, lower=lower, trans=1 if lower else 0, overwrite_x=1)
+    m_inv, lower = inverse
+    return dsymv(1.0, m_inv, b, lower=lower)
 
 
 def admm_step(loss: MarginLoss, labels, A: GramMatrix, cfg: AdmmConfig, st: AdmmState,
-              factor) -> AdmmState:
+              inverse) -> AdmmState:
     """One full iteration (alpha, c, gamma); the input state is not modified.
 
     ``st`` holds one start (1-D arrays) or a block of starts (N x S arrays,
     one per column; admm_run's are Fortran-ordered, and a block in another
     layout steps to the same values), and ``labels`` broadcasts against it:
-    shape (N,), or (N, 1) for a block, else InputError.  ``factor`` is
-    c_factor(A, cfg).  The elementwise work runs on the whole block, and
-    each column's c-solve is its own pair of trsv calls, so a column's
-    iterate does not depend on the other columns.  Reads A c from ``st.ac``
+    shape (N,), or (N, 1) for a block, else InputError.  ``inverse`` is
+    c_inverse(A, cfg).  The elementwise work runs on the whole block, and
+    each column's c-solve is its own symv call, so a column's iterate does
+    not depend on the other columns.  Reads A c from ``st.ac``
     and returns the new state with ``ac = alpha + (2 lam / rho) (st.c - c)``,
     the value the exact c update gives A c, so a step forms no N x N
     product.  That ``ac`` equals a_dot(A, c) to rounding, and its error
@@ -282,7 +290,7 @@ def admm_step(loss: MarginLoss, labels, A: GramMatrix, cfg: AdmmConfig, st: Admm
     dc = np.asfortranarray(b - (gamma + cfg.rho * st.ac))
     # Rows of dc.T are views of dc's contiguous columns; each is solved alone.
     for col in dc.T.reshape(-1, n):
-        col[:] = c_solve(factor, col)
+        col[:] = c_solve(inverse, col)
     c = st.c + dc
     ac = alpha + (2.0 * cfg.lam / cfg.rho) * (st.c - c)
     return AdmmState(alpha=alpha, c=c, ac=ac, k=st.k + 1)
@@ -311,9 +319,9 @@ def stationarity_residual(loss, labels, A: GramMatrix, cfg: AdmmConfig, st: Admm
     return max(split, float(np.max(np.abs(st.alpha - fixed))))
 
 
-def _column_state(st: AdmmState, i: int, k: int) -> AdmmState:
+def _column_state(st: AdmmState, i: int) -> AdmmState:
     return AdmmState(alpha=st.alpha[:, i].copy(), c=st.c[:, i].copy(),
-                     ac=st.ac[:, i].copy(), k=k)
+                     ac=st.ac[:, i].copy(), k=st.k)
 
 
 def admm_run(
@@ -323,7 +331,7 @@ def admm_run(
     cfg: AdmmConfig,
     inits,
     rho_check: RhoCondition | None = None,
-    factor=None,
+    inverse=None,
 ) -> list:
     """Iterate every start in ``inits`` until ||alpha - A c|| < eps0 or the cap.
 
@@ -338,13 +346,14 @@ def admm_run(
     objective and Lagrangian therefore use the carried A c, except on a
     stop-check record; a "max_iter" run ends on a carried objective.
 
-    ``factor`` is c_factor(A, cfg), built here when not given.  The
+    ``inverse`` is c_inverse(A, cfg), built here when not given.  The
     monotone-descent diagnostic runs only when ``rho_check`` says rho
     clears the threshold, since the guarantee only applies above it; its
     warnings from different starts may interleave.  Raises
     DefinitenessError when 2 lam I + rho A is not positive definite, and
-    InputError when ``inits`` is empty or a start's arrays are not of
-    shape (N,).
+    InputError when ``inits`` is empty, a start's arrays are not of shape
+    (N,) or a start is not at iteration 0 (every start comes from
+    initial_state).
     """
     labels = np.asarray(labels, dtype=float)
     if labels.shape != (A.size,):
@@ -356,17 +365,18 @@ def admm_run(
             shape = np.shape(getattr(s, name))
             if shape != (A.size,):
                 raise InputError(f"start {j}: {name} must have shape ({A.size},), got {shape}")
+        if s.k != 0:
+            raise InputError(f"start {j}: must be at iteration 0, got k = {s.k}")
     y = labels[:, None]
     monitor_descent = rho_check is not None and rho_check.ok
-    if factor is None:
-        factor = c_factor(A, cfg)
+    if inverse is None:
+        inverse = c_inverse(A, cfg)
 
     def block(arrays):
         return np.array(arrays, dtype=float).T
 
     st = AdmmState(alpha=block([s.alpha for s in inits]), c=block([s.c for s in inits]),
                    ac=block([s.ac for s in inits]), k=0)
-    k0 = [s.k for s in inits]
     starts = list(range(len(inits)))  # the start in each column of the block
     traces = [IterationTrace() for _ in inits]
     prev_lag = [None] * len(inits)
@@ -374,7 +384,8 @@ def admm_run(
     prev_c = st.c
     prev_ac = st.ac
     for _ in range(cfg.max_iter):
-        st = admm_step(loss, y, A, cfg, st, factor)
+        st = admm_step(loss, y, A, cfg, st, inverse)
+        k = st.k
         res = st.alpha - st.ac
         res_sq = [float(r.dot(r)) for r in res.T]
         # The stop check: where the carried residual passes, the true product
@@ -394,7 +405,6 @@ def admm_run(
                       (st.ac - prev_ac).T)
         for i, (c, ac, r, r_sq, g, dc, dac) in enumerate(columns):
             j = starts[i]
-            k = k0[j] + st.k
             resid = math.sqrt(r_sq)
             cac = float(c.dot(ac))
             lag = _lagrangian_given(risk_alpha[i], cfg, g, r, cac, r_sq)
@@ -402,12 +412,12 @@ def admm_run(
             try:
                 step_norm = math.sqrt(_psd_form(float(dc.dot(dac))))
             except DefinitenessError as exc:
-                results[j] = AdmmRunResult(_column_state(st, i, k), traces[j], "failed", str(exc))
+                results[j] = AdmmRunResult(_column_state(st, i), traces[j], "failed", str(exc))
                 continue
             traces[j].append(k, lag, obj, resid, step_norm)
             if not (math.isfinite(obj) and math.isfinite(resid)):
                 error = f"diverged at iteration {k} (objective {obj}, residual {resid})"
-                results[j] = AdmmRunResult(_column_state(st, i, k), traces[j], "diverged", error)
+                results[j] = AdmmRunResult(_column_state(st, i), traces[j], "diverged", error)
                 continue
             if monitor_descent and prev_lag[j] is not None and lag > prev_lag[j] + DESCENT_SLACK:
                 warnings.warn(
@@ -418,7 +428,7 @@ def admm_run(
                 )
             prev_lag[j] = lag
             if resid < cfg.eps0:
-                results[j] = AdmmRunResult(_column_state(st, i, k), traces[j], "converged")
+                results[j] = AdmmRunResult(_column_state(st, i), traces[j], "converged")
         keep = [i for i, j in enumerate(starts) if results[j] is None]
         if len(keep) < len(starts):
             # Indexing whole columns keeps the arrays Fortran-ordered.
@@ -429,5 +439,5 @@ def admm_run(
         prev_c = st.c
         prev_ac = st.ac
     for i, j in enumerate(starts):
-        results[j] = AdmmRunResult(_column_state(st, i, k0[j] + st.k), traces[j], "max_iter")
+        results[j] = AdmmRunResult(_column_state(st, i), traces[j], "max_iter")
     return results

@@ -69,13 +69,18 @@ def _data_rows(path):
     numbers and their common width.
 
     The whole file goes through one csv.reader; a blank line reads as an
-    empty row and is skipped.  A first row with a cell that is not a number
-    is a header.  ParseError on an empty file or a ragged row.
+    empty row and is skipped.  A row's line number is the reader's line
+    count after it, the line it ends on, since a quoted cell may span lines.
+    A first row with a cell that is not a number is a header.  ParseError
+    on an empty file or a ragged row.
     """
+    rows, lines = [], []
     with open(path, encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    lines = [ln for ln, row in enumerate(rows, 1) if row]
-    rows = [row for row in rows if row]
+        reader = csv.reader(fh)
+        for row in reader:
+            if row:
+                rows.append(row)
+                lines.append(reader.line_num)
     if not rows:
         raise ParseError(f"{path}: file contains no data")
     if float_cells(rows[:1], 1, len(rows[0])) is None:

@@ -13,6 +13,7 @@ make it singular, so they are rejected.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh
 from scipy.spatial.distance import cdist, pdist, squareform
 
 from .errors import DefinitenessError, DuplicatePointError, InputError
@@ -95,20 +96,26 @@ def gram(spec: KernelSpec, points) -> GramMatrix:
         raise DuplicatePointError(
             f"points {i} and {j} are identical; the kernel matrix would be singular"
         )
-    return GramMatrix(_kernel_of_distances(spec, squareform(cond)))
+    # The kernel of each pair, then the mirror; exp(-sigma * 0) is 1.
+    entries = squareform(_kernel_of_distances(spec, cond))
+    np.fill_diagonal(entries, 1.0)
+    return GramMatrix(entries)
 
 
 def min_eigenvalue(A: GramMatrix) -> float:
     """Smallest eigenvalue of a symmetric positive definite matrix.
 
-    One dense symmetric eigenvalue computation (LAPACK via eigvalsh).
+    LAPACK's dsyevr (scipy.linalg.eigh) asked for the smallest eigenvalue
+    alone.  It reads the upper triangle of the Fortran view A.entries.T, the
+    triangle admm.a_dot reads, so LAPACK's working copy is not transposed.
     Raises DefinitenessError when the smallest eigenvalue is not positive,
     or falls at or below the numerical noise floor size * eps * max|A|, in
     which case A cannot be certified positive definite at working precision.
     """
     m = A.entries
     floor = A.size * np.finfo(float).eps * float(np.abs(m).max())
-    w = float(np.linalg.eigvalsh(m)[0])
+    w = float(eigh(m.T, lower=False, eigvals_only=True, subset_by_index=[0, 0],
+                   driver="evr", check_finite=False)[0])
     if not w > 0:
         raise DefinitenessError(f"matrix is not positive definite: smallest eigenvalue {w:.3e}")
     if not w > floor:

@@ -23,7 +23,7 @@ from .admm import (
     IterationTrace,
     RhoCondition,
     admm_run,
-    c_factor,
+    c_inverse,
     initial_state,
 )
 from .data import Dataset
@@ -165,7 +165,7 @@ def train_multistart(
     """Run ``starts`` seeded ADMM starts; keep the lowest final objective.
 
     Start s draws its initial point from a generator seeded with seed + s.
-    All starts share one factor of 2 lam I + rho A, built before the first
+    All starts share one inverse of 2 lam I + rho A, built before the first
     start; DefinitenessError is raised when it cannot be built.  The starts
     then run together as one admm_run block, and each start's result is
     bit for bit the one it gets alone, whatever ``starts`` is.  Ties in
@@ -182,12 +182,12 @@ def train_multistart(
         raise InputError("kernel matrix size does not match the dataset")
     if rho_check is None:
         rho_check = rho_condition(A, cfg)
-    factor = c_factor(A, cfg)
+    inverse = c_inverse(A, cfg)
     inits = [initial_state(A, np.random.default_rng(seed + s)) for s in range(starts)]
 
     summaries = []
     best = None
-    for s, run in enumerate(admm_run(loss, data.y, A, cfg, inits, rho_check, factor)):
+    for s, run in enumerate(admm_run(loss, data.y, A, cfg, inits, rho_check, inverse)):
         if run.status == "failed":
             summaries.append(StartSummary(s, None, None, None, None, error=run.error))
             continue

@@ -16,6 +16,7 @@ import csv
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 from splitsvm.errors import InputError
 from splitsvm.losses import TIE_TOL, margin_value
@@ -189,6 +190,12 @@ def prox_enumerated(loss, rho, n, labels, anchors):
 
 def dense_solve(matrix, b):
     return np.linalg.solve(np.asarray(matrix, dtype=float), np.asarray(b, dtype=float))
+
+
+def cholesky_solver(matrix):
+    """A solve x = matrix^-1 b by a dense Cholesky factor, factored once."""
+    factor = cho_factor(np.asarray(matrix, dtype=float))
+    return lambda b: cho_solve(factor, b)
 
 
 def eval_kernel(spec, x, xp):

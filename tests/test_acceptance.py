@@ -26,7 +26,7 @@ from _oracles import (
 from splitsvm.admm import (
     AdmmConfig,
     admm_step,
-    c_factor,
+    c_inverse,
     c_solve,
     initial_state,
     stationarity_residual,
@@ -185,7 +185,7 @@ def test_c02_closed_form_branch_tables():
 # ---------------------------------------------------------------------------
 
 
-def test_c03_cg_matches_dense_solver():
+def test_c03_c_solve_matches_dense_solver():
     problems = []
     rng = np.random.default_rng(2024)
     for k in range(20):
@@ -196,7 +196,7 @@ def test_c03_cg_matches_dense_solver():
         A = gram(KernelSpec("gaussian", 1.0), pts)
         m = 2.0 * lam * np.eye(n) + rho * A.entries
         b = rng.standard_normal(n)
-        x = c_solve(c_factor(A, AdmmConfig(lam=lam, rho=rho)), b)
+        x = c_solve(c_inverse(A, AdmmConfig(lam=lam, rho=rho)), b)
         ref = dense_solve(m, b)
         rel = float(np.linalg.norm(x - ref) / np.linalg.norm(ref))
         resid = float(np.linalg.norm(b - m @ x) / np.linalg.norm(b))
@@ -227,10 +227,10 @@ def test_c04_multiplier_identity_every_iteration(separated_instance):
                  AdmmConfig(lam=0.1, rho=0.5, enforce_rho_condition="off"), 80))
 
     for tag, loss, y, mat, cfg, iters in runs:
-        factor = c_factor(mat, cfg)
+        inverse = c_inverse(mat, cfg)
         st = initial_state(mat, np.random.default_rng(1))
         for _ in range(iters):
-            nxt = admm_step(loss, y, mat, cfg, st, factor)
+            nxt = admm_step(loss, y, mat, cfg, st, inverse)
             # textbook multiplier update from gamma_k = 2 lam c_k
             updated = 2.0 * cfg.lam * st.c + cfg.rho * (nxt.alpha - mat.entries @ nxt.c)
             gap = float(np.max(np.abs(updated - 2.0 * cfg.lam * nxt.c)))
@@ -262,12 +262,12 @@ def test_c05_descent_and_boundedness(separated_instance):
     for loss in (HINGE, RAMP):
         cfg = AdmmConfig(lam=lam, rho=rho, eps0=1e-12, max_iter=2000,
                          enforce_rho_condition="off")
-        factor = c_factor(A, cfg)
+        inverse = c_inverse(A, cfg)
         st = initial_state(A, np.random.default_rng(0))
         lags = []
         norms = []
         for _ in range(cfg.max_iter):
-            st = admm_step(loss, data.y, A, cfg, st, factor)
+            st = admm_step(loss, data.y, A, cfg, st, inverse)
             lags.append(lagrangian(loss, data.y, A, cfg, st))
             norms.append(float(st.c @ st.c))
             if float(np.linalg.norm(st.alpha - A.entries @ st.c)) < cfg.eps0:

@@ -5,9 +5,10 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor
+from scipy.linalg import eigh
+from scipy.linalg.lapack import dpotrf, dpotri
 
-from _oracles import lagrangian, objective_value
+from _oracles import cholesky_solver, lagrangian, objective_value
 from splitsvm.admm import (
     DESCENT_SLACK,
     AdmmConfig,
@@ -21,7 +22,7 @@ from splitsvm.admm import (
     a_dot,
     admm_run,
     admm_step,
-    c_factor,
+    c_inverse,
     c_solve,
     initial_state,
     stationarity_residual,
@@ -144,7 +145,7 @@ def test_one_step_worked_example():
     A, y = unit_instance()
     cfg = AdmmConfig(lam=0.25, rho=1.0)
     st0 = state(A, [0.0], [0.0])
-    st1 = admm_step(HINGE, y, A, cfg, st0, c_factor(A, cfg))
+    st1 = admm_step(HINGE, y, A, cfg, st0, c_inverse(A, cfg))
     assert st1.k == 1
     assert st1.alpha[0] == 1.0
     assert st1.c[0] == pytest.approx(2.0 / 3.0, abs=1e-12)
@@ -158,7 +159,7 @@ def test_fixed_point_is_preserved_bitwise():
     A, y = unit_instance()
     cfg = AdmmConfig(lam=1.0, rho=1.0)
     st = state(A, [0.5], [0.5])
-    nxt = admm_step(HINGE, y, A, cfg, st, c_factor(A, cfg))
+    nxt = admm_step(HINGE, y, A, cfg, st, c_inverse(A, cfg))
     np.testing.assert_array_equal(nxt.alpha, st.alpha)
     np.testing.assert_array_equal(nxt.c, st.c)
     np.testing.assert_array_equal(nxt.ac, st.ac)
@@ -169,10 +170,10 @@ def test_step_rejects_mismatched_labels():
     A, _ = random_instance(6)
     cfg = AdmmConfig(lam=0.1, rho=1.0)
     st = state(A, np.zeros(6), np.zeros(6))
-    factor = c_factor(A, cfg)
+    inverse = c_inverse(A, cfg)
     for labels in (np.ones(5), np.ones(1), 1.0, np.ones((6, 1))):
         with pytest.raises(InputError):
-            admm_step(HINGE, labels, A, cfg, st, factor)
+            admm_step(HINGE, labels, A, cfg, st, inverse)
 
 
 def test_run_rejects_mismatched_labels():
@@ -204,14 +205,14 @@ def test_step_of_a_block_in_either_order_equals_its_columns_alone(order, rng):
     # of the arrays passed in.
     A, y = random_instance(30)
     cfg = AdmmConfig(lam=0.3, rho=2.0)
-    factor = c_factor(A, cfg)
+    inverse = c_inverse(A, cfg)
     starts = [initial_state(A, rng) for _ in range(2)]
     block = AdmmState(*(np.array([getattr(s, f) for s in starts]).T.copy(order=order)
                         for f in ("alpha", "c", "ac")), k=0)
     assert block.c.flags[f"{order}_CONTIGUOUS"]
     for _ in range(3):
-        block = admm_step(PL2, y[:, None], A, cfg, block, factor)
-        starts = [admm_step(PL2, y, A, cfg, s, factor) for s in starts]
+        block = admm_step(PL2, y[:, None], A, cfg, block, inverse)
+        starts = [admm_step(PL2, y, A, cfg, s, inverse) for s in starts]
         for i, s in enumerate(starts):
             for f in ("alpha", "c", "ac"):
                 np.testing.assert_array_equal(getattr(block, f)[:, i], getattr(s, f))
@@ -222,10 +223,10 @@ def test_multiplier_identity_after_every_step():
     # lands on 2 lam c: the identity the state relies on instead of storing gamma.
     A, y = random_instance(20)
     cfg = AdmmConfig(lam=0.4, rho=2.5)
-    factor = c_factor(A, cfg)
+    inverse = c_inverse(A, cfg)
     st = initial_state(A, np.random.default_rng(0))
     for _ in range(30):
-        nxt = admm_step(TLOG, y, A, cfg, st, factor)
+        nxt = admm_step(TLOG, y, A, cfg, st, inverse)
         updated = 2.0 * cfg.lam * st.c + cfg.rho * (nxt.alpha - A.entries @ nxt.c)
         gap = np.max(np.abs(updated - 2.0 * cfg.lam * nxt.c))
         assert gap <= 1e-12 * (1.0 + np.max(np.abs(nxt.c)))
@@ -296,7 +297,8 @@ def test_monotone_descent_when_condition_holds(separated_instance):
         check = rho_condition(A, cfg)
         out = admm_run(HINGE, data.y, A, cfg, [init], check)[0]
     assert check.ok
-    assert check.lambda_min == float(np.linalg.eigvalsh(A.entries)[0])
+    assert check.lambda_min == float(eigh(A.entries.T, lower=False, eigvals_only=True,
+                                          subset_by_index=[0, 0], driver="evr")[0])
     lags = [r.lagrangian for r in out.trace.records]
     for prev, cur in zip(lags, lags[1:]):
         assert cur <= prev + DESCENT_SLACK
@@ -411,7 +413,7 @@ def drifted_fixed_point():
 
 def test_stop_check_refuses_a_drifted_a_c():
     A, y, cfg, st = drifted_fixed_point()
-    nxt = admm_step(HINGE, y, A, cfg, st, c_factor(A, cfg))
+    nxt = admm_step(HINGE, y, A, cfg, st, c_inverse(A, cfg))
     true_resid = float(np.linalg.norm(nxt.alpha - a_dot(A, nxt.c)))
     assert float(np.linalg.norm(nxt.alpha - nxt.ac)) < cfg.eps0 < true_resid
 
@@ -477,13 +479,13 @@ def test_step_carries_a_c():
     # 2 * N * eps * max|A| * max|c| (c over both states) of a_dot.
     A, y = random_instance(10)
     cfg = AdmmConfig(lam=0.2, rho=2.0)
-    factor = c_factor(A, cfg)
+    inverse = c_inverse(A, cfg)
     st = initial_state(A, np.random.default_rng(5))
     np.testing.assert_array_equal(st.ac, a_dot(A, st.c))
     eps = np.finfo(float).eps
     for _ in range(50):
         st = replace(st, ac=a_dot(A, st.c))
-        nxt = admm_step(PL2, y, A, cfg, st, factor)
+        nxt = admm_step(PL2, y, A, cfg, st, inverse)
         scale = max(np.abs(st.c).max(), np.abs(nxt.c).max())
         tol = 2.0 * A.size * eps * np.abs(A.entries).max() * scale
         assert np.max(np.abs(nxt.ac - a_dot(A, nxt.c))) <= tol
@@ -501,11 +503,11 @@ def test_carried_a_c_drift_over_a_long_run():
     eps = np.finfo(float).eps
     for loss, lam, rho in ((PL2, 0.1, 1.0), (TLOG, 0.1, 0.05)):
         cfg = AdmmConfig(lam=lam, rho=rho, enforce_rho_condition="off")
-        factor = c_factor(A, cfg)
+        inverse = c_inverse(A, cfg)
         st = initial_state(A, np.random.default_rng(0))
         budget = 0.0
         for _ in range(2000):
-            nxt = admm_step(loss, train.y, A, cfg, st, factor)
+            nxt = admm_step(loss, train.y, A, cfg, st, inverse)
             budget += eps * (np.abs(nxt.alpha).max() + 2.0 * lam / rho * np.abs(nxt.c).max()
                              + A.size * np.abs(A.entries).max() * np.abs(nxt.c - st.c).max())
             st = nxt
@@ -564,10 +566,10 @@ def test_block_starts_equal_their_runs_alone(loss, monkeypatch):
     real_risk = admm_mod._risk
     widths = []
 
-    def step(loss, labels, A, cfg, st, factor):
+    def step(loss, labels, A, cfg, st, inverse):
         assert all(a.flags.f_contiguous for a in (st.alpha, st.c, st.ac))
         widths.append(st.c.shape[1])
-        return real_step(loss, labels, A, cfg, st, factor)
+        return real_step(loss, labels, A, cfg, st, inverse)
 
     def risk(loss, labels, t):
         # Every risk is taken on a block of contiguous columns.
@@ -622,9 +624,9 @@ def test_a_dot_matches_dense_product_within_rounding(rng):
         assert np.max(np.abs(a_dot(A, c) - A.entries @ c)) <= tol
 
 
-def test_a_dot_and_c_factor_read_one_triangle(rng):
+def test_a_dot_and_c_inverse_read_one_triangle(rng):
     # Garbage above the diagonal of the C-ordered entries changes neither
-    # the product nor the factor: both read the entries on and below it.
+    # the product nor the inverse: both read the entries on and below it.
     A, _ = random_instance(12)
     cfg = AdmmConfig(lam=0.2, rho=1.5)
     skewed = A.entries.copy()
@@ -633,14 +635,14 @@ def test_a_dot_and_c_factor_read_one_triangle(rng):
     c = rng.normal(size=12)
     np.testing.assert_array_equal(a_dot(B, c), a_dot(A, c))
     b = rng.normal(size=12)
-    np.testing.assert_array_equal(c_solve(c_factor(B, cfg), b), c_solve(c_factor(A, cfg), b))
+    np.testing.assert_array_equal(c_solve(c_inverse(B, cfg), b), c_solve(c_inverse(A, cfg), b))
 
 
-def test_c_factor_is_fortran_ordered():
+def test_c_inverse_is_fortran_ordered():
     A, _ = random_instance(9)
     assert A.entries.flags.c_contiguous
-    chol, lower = c_factor(A, AdmmConfig(lam=0.1, rho=1.0))
-    assert chol.flags.f_contiguous and lower is False
+    m_inv, lower = c_inverse(A, AdmmConfig(lam=0.1, rho=1.0))
+    assert m_inv.flags.f_contiguous and lower is False
 
 
 @pytest.mark.parametrize("lower", [False, True])
@@ -648,11 +650,15 @@ def test_c_solve_with_either_factor_triangle(lower, rng):
     A, _ = random_instance(15)
     lam, rho = 0.3, 2.0
     m = 2.0 * lam * np.eye(15) + rho * A.entries
-    factor = cho_factor(m, lower=lower)
+    chol, info = dpotrf(m, lower=lower, clean=0)
+    assert info == 0
+    m_inv, info = dpotri(chol, lower=lower)
+    assert info == 0
+    inverse = (m_inv, lower)
     for _ in range(5):
         b = rng.normal(size=15)
         kept = b.copy()
-        x = c_solve(factor, b)
+        x = c_solve(inverse, b)
         np.testing.assert_array_equal(b, kept)
         ref = np.linalg.solve(m, b)
         assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
@@ -668,6 +674,32 @@ def test_fortran_ordered_gram_trains_to_same_iterates():
     np.testing.assert_array_equal(outs[0].state.c, outs[1].state.c)
     np.testing.assert_array_equal(outs[0].state.alpha, outs[1].state.alpha)
     assert outs[0].trace.to_csv() == outs[1].trace.to_csv()
+
+
+def test_ill_conditioned_c_solve_matches_a_cholesky_solve(monkeypatch):
+    # cond(2 lam I + rho A) is about 1.6e7 here.  The symv with the cached
+    # inverse and a dense Cholesky solve end 2000 pl2 iterations at the same
+    # objective to far better than 1e-10 relative.
+    import splitsvm.admm as admm_mod
+
+    train, _ = generate_synthetic(300, 120, 0)
+    A = gram(KernelSpec("gaussian", 0.1), train.X)
+    cfg = AdmmConfig(lam=1e-6, rho=1.0, max_iter=2000)
+    init = initial_state(A, np.random.default_rng(0))
+    shipped = admm_run(PL2, train.y, A, cfg, [init])[0]
+    solve = cholesky_solver(2.0 * cfg.lam * np.eye(A.size) + cfg.rho * A.entries)
+    monkeypatch.setattr(admm_mod, "c_solve", lambda inverse, b: solve(b))
+    oracle = admm_run(PL2, train.y, A, cfg, [init])[0]
+    assert shipped.state.k == oracle.state.k == cfg.max_iter
+    ours, ref = shipped.trace.final.objective, oracle.trace.final.objective
+    assert abs(ours - ref) <= 1e-10 * abs(ref)
+
+
+def test_run_rejects_a_start_past_iteration_0():
+    A, _ = random_instance(6)
+    good = state(A, np.zeros(6), np.zeros(6))
+    with pytest.raises(InputError, match="start 1: must be at iteration 0, got k = 3"):
+        admm_run(HINGE, np.ones(6), A, AdmmConfig(lam=0.1, rho=1.0), [good, replace(good, k=3)])
 
 
 def test_run_rejects_an_indefinite_c_matrix():
@@ -719,10 +751,10 @@ def test_rkhs_step_norm_general_matrix():
     cfg = AdmmConfig(lam=0.2, rho=1.5, max_iter=5, eps0=1e-300)
     init = initial_state(A, np.random.default_rng(4))
     out = admm_run(TLOG, y, A, cfg, [init])[0]
-    factor = c_factor(A, cfg)
+    inverse = c_inverse(A, cfg)
     st = init
     for rec in out.trace.records:
-        nxt = admm_step(TLOG, y, A, cfg, st, factor)
+        nxt = admm_step(TLOG, y, A, cfg, st, inverse)
         d = nxt.c - st.c
         assert rec.step_norm_H == pytest.approx(math.sqrt(d @ A.entries @ d), rel=1e-10)
         st = nxt

@@ -288,6 +288,17 @@ def test_late_ragged_row_names_its_line(tmp_path):
     assert str(exc.value) == f"{path}: line {ln} has 3 fields, expected 2"
 
 
+@pytest.mark.parametrize("load,suffix", [(load_features_csv, ""), (load_csv, ",1")])
+def test_error_after_a_cell_spanning_lines_names_the_file_line(tmp_path, load, suffix):
+    # The second record is the quoted cell "3.0\n" and 4.0, on lines 2-3,
+    # so the bad cell is on line 4, though it is in the third record.
+    path = tmp_path / "quoted.csv"
+    path.write_text(f'1.0,2.0{suffix}\n"3.0\n",4.0{suffix}\n5.0,oops{suffix}\n')
+    with pytest.raises(ParseError) as exc:
+        load(str(path))
+    assert str(exc.value) == f"{path}: line 4: field 2 is not a number: 'oops'"
+
+
 def test_first_bad_row_wins_and_label_comes_first(tmp_path):
     # Row 15000 has a bad label and a bad feature; row 19990 a bad feature.
     # The first bad row is named, and within a row the label is checked

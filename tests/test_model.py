@@ -282,8 +282,8 @@ def test_multistart_factors_once(small_split, monkeypatch):
     import splitsvm.model as model_mod
 
     calls = []
-    real = model_mod.c_factor
-    monkeypatch.setattr(model_mod, "c_factor", lambda A, cfg: calls.append(1) or real(A, cfg))
+    real = model_mod.c_inverse
+    monkeypatch.setattr(model_mod, "c_inverse", lambda A, cfg: calls.append(1) or real(A, cfg))
     train, _ = small_split
     cfg = AdmmConfig(lam=0.5, rho=5.0, max_iter=20, enforce_rho_condition="off")
     _, summaries = train_multistart(train, KernelSpec("gaussian", 1.0), HINGE, cfg,
