@@ -52,19 +52,20 @@ is compacted to the columns still running; at the cap all remaining
 columns stop together.
 
 A start stops when ||alpha - A c||_2 < eps0 for the true product.  Each
-iteration is one pass: the step, the stop check (a column whose carried
-residual passes gets a_dot's A c in place of the carried one), every
-column's diagnostics, then retirement.  A start stops as "converged" when
-its true residual passes, "diverged" at a non-finite objective or
-residual, and "failed" when d^T A d < 0 for its step d.  When rho exceeds the threshold 4 lam / lambda_min(A) the
-augmented Lagrangian is guaranteed to decrease every iteration, and the
-iterates are bounded; both facts are monitored as diagnostics rather than
-assumed.
+iteration is the step, then one loop over the columns for their stop
+checks and diagnostics, then retirement.  A column whose carried residual
+passes has a_dot's A c written into the step's A c, and its record uses
+that product.  A start stops as "converged" when its true residual passes,
+"diverged" at a non-finite objective or residual, and "failed" when
+d^T A d < 0 for its step d.  When rho exceeds the threshold
+4 lam / lambda_min(A) the augmented Lagrangian is guaranteed to decrease
+every iteration, and the iterates are bounded; both facts are monitored
+as diagnostics rather than assumed.
 """
 import math
 import warnings
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import dsymv
@@ -72,17 +73,13 @@ from scipy.linalg.lapack import dpotrf, dpotri
 
 from ._io import write_text_atomic
 from .errors import DefinitenessError, InputError
-from .kernels import GramMatrix
+from .kernels import LOWER, GramMatrix
 from .losses import MarginLoss, margin_value, prox_vector
 
 #: Allowed uphill movement of the augmented Lagrangian before a warning.
 DESCENT_SLACK = 1e-9
 
 RHO_POLICIES = ("off", "warn", "error")
-
-#: The triangle of A that c_inverse inverts and a_dot reads (False: upper,
-#: in the Fortran view A.entries.T).
-_LOWER = False
 
 
 @dataclass(frozen=True)
@@ -227,39 +224,38 @@ def _lagrangian_given(risk, cfg, gamma, res, cac, res_sq) -> float:
 
 def a_dot(A: GramMatrix, c) -> np.ndarray:
     """The product A c by BLAS symv, reading the triangle c_inverse inverts."""
-    return dsymv(1.0, A.entries.T, c, lower=_LOWER)
+    return dsymv(1.0, A.entries.T, c, lower=LOWER)
 
 
 def c_inverse(A: GramMatrix, cfg: AdmmConfig):
     """The inverse of M = 2 lam I + rho A, the matrix of every c-update.
 
-    Returns (inverse, lower): one triangle of M^-1, the lower one when
-    ``lower``, in a Fortran-ordered N x N array, the only N x N buffer this
-    allocates.  rho A is formed transposed (Fortran order) and its diagonal
-    shifted; LAPACK factors it in place (Cholesky, potrf) and turns the
-    factor into M^-1 in place (potri).  Raises DefinitenessError when
+    Returns the triangle kernels.LOWER names of M^-1 in a Fortran-ordered
+    N x N array, the only N x N buffer this allocates.  rho A is formed
+    transposed (Fortran order) and its diagonal shifted; LAPACK factors it
+    in place (Cholesky, potrf) and turns the factor into M^-1 in place
+    (potri).  Raises DefinitenessError when
     either step fails, i.e. when M is not positive definite.
     """
     m = (cfg.rho * A.entries).T
     m[np.diag_indices_from(m)] += 2.0 * cfg.lam
-    chol, info = dpotrf(m, lower=_LOWER, clean=0, overwrite_a=1)
+    chol, info = dpotrf(m, lower=LOWER, clean=0, overwrite_a=1)
     if info != 0:
         raise DefinitenessError(f"cannot factor 2 lam I + rho A: {info}-th leading minor "
                                 "of the array is not positive definite")
-    inverse, info = dpotri(chol, lower=_LOWER, overwrite_c=1)
+    inverse, info = dpotri(chol, lower=LOWER, overwrite_c=1)
     if info != 0:
         raise DefinitenessError(f"cannot invert 2 lam I + rho A: LAPACK potri info {info}")
-    return inverse, _LOWER
+    return inverse
 
 
 def c_solve(inverse, b) -> np.ndarray:
     """Solve (2 lam I + rho A) x = b with ``inverse`` = c_inverse(A, cfg).
 
-    ``inverse`` is the pair (one triangle of M^-1, lower); x = M^-1 b is
-    one BLAS symv reading that triangle.  ``b`` is not modified.
+    x = M^-1 b is one BLAS symv reading the triangle kernels.LOWER names.
+    ``b`` is not modified.
     """
-    m_inv, lower = inverse
-    return dsymv(1.0, m_inv, b, lower=lower)
+    return dsymv(1.0, inverse, b, lower=LOWER)
 
 
 def admm_step(loss: MarginLoss, labels, A: GramMatrix, cfg: AdmmConfig, st: AdmmState,
@@ -341,8 +337,8 @@ def admm_run(
     its state at the failing step and its trace up to the step before.
 
     The test is on the true product: each step carries A c (admm_step), and
-    the stop check replaces a carried A c whose residual passes eps0 by
-    a_dot's before the iteration's record is computed.  The trace's
+    the stop check writes a_dot's A c over a carried one whose residual
+    passes eps0 before the iteration's record is computed.  The trace's
     objective and Lagrangian therefore use the carried A c, except on a
     stop-check record; a "max_iter" run ends on a carried objective.
 
@@ -387,24 +383,22 @@ def admm_run(
         st = admm_step(loss, y, A, cfg, st, inverse)
         k = st.k
         res = st.alpha - st.ac
-        res_sq = [float(r.dot(r)) for r in res.T]
-        # The stop check: where the carried residual passes, the true product
-        # replaces the carried one, in a copy, so that the step's own output
-        # stays as it was.
-        checked = [i for i, q in enumerate(res_sq) if math.sqrt(q) < cfg.eps0]
-        if checked:
-            st = replace(st, ac=st.ac.copy(order="F"))
-            for i in checked:
-                st.ac[:, i] = a_dot(A, st.c[:, i])
-            res = st.alpha - st.ac
-            res_sq = [float(r.dot(r)) for r in res.T]
         risk_alpha = _risk(loss, y, st.alpha)
         risk_ac = _risk(loss, y, st.ac)
         gamma = 2.0 * cfg.lam * st.c
-        columns = zip(st.c.T, st.ac.T, res.T, res_sq, gamma.T, (st.c - prev_c).T,
+        columns = zip(st.alpha.T, st.c.T, st.ac.T, res.T, gamma.T, (st.c - prev_c).T,
                       (st.ac - prev_ac).T)
-        for i, (c, ac, r, r_sq, g, dc, dac) in enumerate(columns):
+        for i, (alpha, c, ac, r, g, dc, dac) in enumerate(columns):
             j = starts[i]
+            r_sq = float(r.dot(r))
+            if math.sqrt(r_sq) < cfg.eps0:
+                # The stop check: the true product replaces the carried one
+                # in this step's own A c, a fresh array, never prev_ac.
+                ac[:] = a_dot(A, c)
+                r = alpha - ac
+                r_sq = float(r.dot(r))
+                risk_ac[i] = _risk(loss, labels, ac)
+                dac = ac - prev_ac[:, i]
             resid = math.sqrt(r_sq)
             cac = float(c.dot(ac))
             lag = _lagrangian_given(risk_alpha[i], cfg, g, r, cac, r_sq)

@@ -129,7 +129,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     if check.threshold is not None:
         print(
             f"rho condition: rho = {cfg.rho:g} vs threshold "
-            f"4*lam/lambda_min = {check.threshold:.6g} ({check.status})"
+            f"4*lam/lambda_min = {check.threshold:#.3g} ({check.status})"
         )
     elif check.detail:
         print(f"rho condition: {check.status} ({check.detail})")
@@ -212,10 +212,7 @@ def main(argv=None) -> int:
     args = parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except SplitSvmError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (SplitSvmError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

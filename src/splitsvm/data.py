@@ -11,6 +11,7 @@ optional header row is auto-detected (any non-numeric cell).
 """
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,25 +95,32 @@ def _data_rows(path):
     return rows, lines, width
 
 
-def _parse_features(path, ln, cells, out):
-    """Fill the row ``out`` with the numbers in ``cells`` (file line ``ln``)."""
-    for j, cell in enumerate(cells):
-        try:
-            out[j] = float(cell)
-        except ValueError:
-            raise ParseError(
-                f"{path}: line {ln}: field {j + 1} is not a number: {cell!r}"
-            ) from None
-    if not np.all(np.isfinite(out)):
-        raise ParseError(f"{path}: line {ln}: features must be finite")
+def _first_fault(path, rows, lines, labeled):
+    """The ParseError of the first bad row (some row must be bad): its label
+    when ``labeled``, then its first cell that is not a number, then a
+    feature that is not finite."""
+    for ln, row in zip(lines, rows):
+        if labeled:
+            raw_label = row[-1].strip()
+            if raw_label not in _LABELS:
+                return ParseError(
+                    f"{path}: line {ln}: label must be '1', '+1' or '-1', got {raw_label!r}"
+                )
+            row = row[:-1]
+        for j, cell in enumerate(row):
+            try:
+                float(cell)
+            except ValueError:
+                return ParseError(f"{path}: line {ln}: field {j + 1} is not a number: {cell!r}")
+        if not all(math.isfinite(float(cell)) for cell in row):
+            return ParseError(f"{path}: line {ln}: features must be finite")
 
 
 def load_csv(path: str) -> Dataset:
     """Read a labeled dataset (features..., label).
 
     The cells and labels are converted a file at a time; when any of them
-    fails, the row loop goes through the rows again and reports the first
-    bad line and field.
+    fails, _first_fault goes through the rows again for the first bad line.
     """
     rows, lines, width = _data_rows(path)
     if width < 2:
@@ -122,31 +130,18 @@ def load_csv(path: str) -> Dataset:
         labels = np.fromiter((_LABELS[row[-1].strip()] for row in rows), float, len(rows))
     except KeyError:
         labels = None
-    if feats is not None and labels is not None and np.all(np.isfinite(feats)):
-        return Dataset(feats, labels)
-    feats = np.empty((len(rows), width - 1))
-    labels = np.empty(len(rows))
-    for k, (ln, row) in enumerate(zip(lines, rows)):
-        raw_label = row[-1].strip()
-        if raw_label not in _LABELS:
-            raise ParseError(
-                f"{path}: line {ln}: label must be '1', '+1' or '-1', got {raw_label!r}"
-            )
-        labels[k] = _LABELS[raw_label]
-        _parse_features(path, ln, row[:-1], feats[k])
+    if feats is None or labels is None or not np.all(np.isfinite(feats)):
+        raise _first_fault(path, rows, lines, labeled=True)
     return Dataset(feats, labels)
 
 
 def load_features_csv(path: str) -> np.ndarray:
     """Read an unlabeled feature matrix (used by prediction), a file at a
-    time; the row loop runs only to report the first bad line."""
+    time; _first_fault runs only to report the first bad line."""
     rows, lines, width = _data_rows(path)
     feats = float_cells(rows, len(rows), width)
-    if feats is not None and np.all(np.isfinite(feats)):
-        return feats
-    feats = np.empty((len(rows), width))
-    for k, (ln, row) in enumerate(zip(lines, rows)):
-        _parse_features(path, ln, row, feats[k])
+    if feats is None or not np.all(np.isfinite(feats)):
+        raise _first_fault(path, rows, lines, labeled=False)
     return feats
 
 

@@ -61,6 +61,12 @@ class GramMatrix:
         return self.entries.shape[0]
 
 
+#: The triangle that every symmetric BLAS and LAPACK call reads, of A and of
+#: the inverse of 2 lam I + rho A (admm.a_dot, c_inverse, c_solve and
+#: min_eigenvalue): False, the upper one in the Fortran view entries.T.
+LOWER = False
+
+
 def cross_gram(spec: KernelSpec, points, others) -> np.ndarray:
     """Rectangular kernel matrix k(points_i, others_j)."""
     pts = np.asarray(points, dtype=float)
@@ -106,15 +112,15 @@ def min_eigenvalue(A: GramMatrix) -> float:
     """Smallest eigenvalue of a symmetric positive definite matrix.
 
     LAPACK's dsyevr (scipy.linalg.eigh) asked for the smallest eigenvalue
-    alone.  It reads the upper triangle of the Fortran view A.entries.T, the
-    triangle admm.a_dot reads, so LAPACK's working copy is not transposed.
+    alone.  It reads the triangle LOWER names in the Fortran view A.entries.T,
+    as admm.a_dot does, so LAPACK's working copy is not transposed.
     Raises DefinitenessError when the smallest eigenvalue is not positive,
     or falls at or below the numerical noise floor size * eps * max|A|, in
     which case A cannot be certified positive definite at working precision.
     """
     m = A.entries
     floor = A.size * np.finfo(float).eps * float(np.abs(m).max())
-    w = float(eigh(m.T, lower=False, eigvals_only=True, subset_by_index=[0, 0],
+    w = float(eigh(m.T, lower=LOWER, eigvals_only=True, subset_by_index=[0, 0],
                    driver="evr", check_finite=False)[0])
     if not w > 0:
         raise DefinitenessError(f"matrix is not positive definite: smallest eigenvalue {w:.3e}")

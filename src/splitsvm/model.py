@@ -133,9 +133,9 @@ def rho_condition(A: GramMatrix, cfg: AdmmConfig) -> RhoCondition:
     ok = cfg.rho > threshold
     if not ok and policy == "error":
         raise InputError(f"rho = {cfg.rho} does not exceed the descent threshold "
-                         f"4*lam/lambda_min = {threshold:.6g}")
+                         f"4*lam/lambda_min = {threshold:#.3g}")
     if not ok:
-        warnings.warn(f"rho = {cfg.rho} is at or below the descent threshold {threshold:.6g}; "
+        warnings.warn(f"rho = {cfg.rho} is at or below the descent threshold {threshold:#.3g}; "
                       "monotone descent is not guaranteed", RuntimeWarning, stacklevel=2)
     return RhoCondition("satisfied" if ok else "NOT satisfied", lambda_min, threshold)
 

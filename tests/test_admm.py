@@ -29,7 +29,7 @@ from splitsvm.admm import (
 )
 from splitsvm.data import generate_synthetic
 from splitsvm.errors import DefinitenessError, InputError
-from splitsvm.kernels import GramMatrix, KernelSpec, gram
+from splitsvm.kernels import LOWER, GramMatrix, KernelSpec, gram
 from splitsvm.losses import HINGE, PL2, RAMP, TLOG, margin_value
 from splitsvm.model import rho_condition
 
@@ -428,8 +428,9 @@ def test_stop_check_refuses_a_drifted_a_c():
     assert [r.residual for r in out.trace.records] == [true_resid, 0.0]
 
 
-def count_calls(monkeypatch, name):
-    """Wrap splitsvm.admm.<name> so each call is appended to the returned list."""
+def count_calls(monkeypatch, name, record=lambda out: out):
+    """Wrap splitsvm.admm.<name> so record(output) of each call is appended
+    to the returned list."""
     import splitsvm.admm as admm_mod
 
     calls = []
@@ -437,7 +438,7 @@ def count_calls(monkeypatch, name):
 
     def counted(*args):
         out = real(*args)
-        calls.append(out)
+        calls.append(record(out))
         return out
 
     monkeypatch.setattr(admm_mod, name, counted)
@@ -463,7 +464,9 @@ def test_converged_run_forms_one_product_per_stop_check(monkeypatch, case):
         init = initial_state(A, np.random.default_rng(0))
     else:
         A, y, cfg, init = drifted_fixed_point()
-    steps = count_calls(monkeypatch, "admm_step")
+    # A copy of each step's output: the stop check writes the true product
+    # into the step's own A c.
+    steps = count_calls(monkeypatch, "admm_step", lambda st: replace(st, ac=st.ac.copy()))
     products = count_calls(monkeypatch, "a_dot")
     out = admm_run(HINGE, y, A, cfg, [init])[0]
     assert out.status == "converged"
@@ -641,20 +644,18 @@ def test_a_dot_and_c_inverse_read_one_triangle(rng):
 def test_c_inverse_is_fortran_ordered():
     A, _ = random_instance(9)
     assert A.entries.flags.c_contiguous
-    m_inv, lower = c_inverse(A, AdmmConfig(lam=0.1, rho=1.0))
-    assert m_inv.flags.f_contiguous and lower is False
+    m_inv = c_inverse(A, AdmmConfig(lam=0.1, rho=1.0))
+    assert m_inv.flags.f_contiguous and LOWER is False
 
 
-@pytest.mark.parametrize("lower", [False, True])
-def test_c_solve_with_either_factor_triangle(lower, rng):
+def test_c_solve_reads_the_named_triangle(rng):
     A, _ = random_instance(15)
     lam, rho = 0.3, 2.0
     m = 2.0 * lam * np.eye(15) + rho * A.entries
-    chol, info = dpotrf(m, lower=lower, clean=0)
+    chol, info = dpotrf(m, lower=LOWER, clean=0)
     assert info == 0
-    m_inv, info = dpotri(chol, lower=lower)
+    inverse, info = dpotri(chol, lower=LOWER)
     assert info == 0
-    inverse = (m_inv, lower)
     for _ in range(5):
         b = rng.normal(size=15)
         kept = b.copy()

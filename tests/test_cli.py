@@ -148,6 +148,29 @@ def test_train_computes_lambda_min_once(tmp_path, capsys, data_files, monkeypatc
     assert "(NOT satisfied)" in capsys.readouterr().out
 
 
+def test_rho_threshold_is_printed_to_three_digits(tmp_path, capsys, data_files, monkeypatch):
+    # A lambda_min near the noise floor is known to about 3e-5 relative, so
+    # two estimates that far apart print the same line and the same texts.
+    import splitsvm.model as model_mod
+
+    train, _ = data_files
+    w = 4.0 * 0.5 / 6.99674e9  # lam = 0.5 in train_args
+    lines, warned, errors = [], [], []
+    for estimate in (w, w * (1.0 + 3e-5)):
+        monkeypatch.setattr(model_mod, "min_eigenvalue", lambda A, w=estimate: w)
+        with pytest.warns(RuntimeWarning, match="descent threshold") as caught:
+            assert main(train_args(train, tmp_path / "model.txt", "--max-iter", "1")) == 0
+        out = capsys.readouterr().out
+        lines += [line for line in out.splitlines() if line.startswith("rho condition:")]
+        warned += [str(warning.message) for warning in caught]
+        assert main(train_args(train, tmp_path / "model.txt", "--check-rho", "error")) == 1
+        errors.append(capsys.readouterr().err)
+    assert lines == ["rho condition: rho = 5 vs threshold "
+                     "4*lam/lambda_min = 7.00e+09 (NOT satisfied)"] * 2
+    assert len(warned) == 2 and warned[0] == warned[1] and "7.00e+09" in warned[0]
+    assert errors[0] == errors[1] and "7.00e+09" in errors[0]
+
+
 def test_train_deterministic_model_bytes(tmp_path, data_files):
     train, _ = data_files
     p1 = tmp_path / "m1.txt"

@@ -312,6 +312,27 @@ def test_first_bad_row_wins_and_label_comes_first(tmp_path):
     assert str(exc.value) == f"{path}: line {ln}: label must be '1', '+1' or '-1', got '2'"
 
 
+@pytest.mark.parametrize("labeled", [False, True])
+def test_fault_precedence_across_and_within_rows(tmp_path, labeled):
+    # The first bad row is named even when a later row has a fault checked
+    # earlier within a row; within a row a cell that is not a number comes
+    # before finiteness; a ragged row is named before any cell is read.
+    load, suffix = (load_csv, ",1") if labeled else (load_features_csv, "")
+    width = 2 + labeled
+    cases = [
+        (["0.5,0.5", "inf,0.5", "0.5,abc"], "line 2: features must be finite"),
+        (["0.5,0.5", "inf,abc"], "line 2: field 2 is not a number: 'abc'"),
+        (["0.5,0.5", "0.5,abc", "0.5,0.5,0.5"],
+         f"line 3 has {width + 1} fields, expected {width}"),
+    ]
+    path = tmp_path / "faults.csv"
+    for rows, message in cases:
+        path.write_text("".join(row + suffix + "\n" for row in rows))
+        with pytest.raises(ParseError) as exc:
+            load(str(path))
+        assert str(exc.value) == f"{path}: {message}"
+
+
 # ---------------------------------------------------------------------------
 # standardization
 # ---------------------------------------------------------------------------
