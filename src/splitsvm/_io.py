@@ -2,23 +2,28 @@
 
 Output files are written to a temporary file in the destination directory and
 renamed into place, so a failed or interrupted write never leaves a partial
-file behind.  Numeric cells are converted a file at a time by ``float()``, so
-a reader accepts exactly the spellings Python's ``float`` does.
+file behind; a writer may hand over its text a chunk at a time.  Numeric
+cells are converted by ``float()``, so a reader accepts exactly the spellings
+Python's ``float`` does.
 """
 
 import os
 import tempfile
+from collections.abc import Iterable
 from itertools import chain
 
 import numpy as np
 
 
-def write_text_atomic(path: str, text: str) -> None:
+def write_text_atomic(path: str, text: str | Iterable[str]) -> None:
+    """Write ``text``, one string or an iterable of string chunks, to ``path``."""
+    if isinstance(text, str):
+        text = (text,)
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+            fh.writelines(text)
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -13,6 +13,7 @@ optional header row is auto-detected (any non-numeric cell).
 import csv
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -65,15 +66,51 @@ def generate_synthetic(n_train: int, n_test: int, seed: int):
     return draw(n_train), draw(n_test)
 
 
+def _data_cells(rows, width, labeled):
+    """The cells of the rows, with each label as its number; ValueError on a
+    row of another width, KeyError on a label that is not one."""
+    for row in rows:
+        if len(row) != width:
+            raise ValueError(f"{len(row)} fields, expected {width}")
+        if labeled:
+            yield from row[:-1]
+            yield _LABELS[row[-1].strip()]
+        else:
+            yield from row
+
+
+def _read_cells(path, labeled):
+    """The data rows of a CSV file as one (rows, width) array, in one pass.
+
+    Each cell goes through float() as csv.reader yields it, with no list of
+    rows in between; a blank line reads as an empty row and is skipped, and
+    a first row with a cell that is not a number is a header.  A label cell
+    reads as +1 or -1.  None when the file has no data rows, fewer than two
+    columns when ``labeled``, a ragged row, a cell that is not a number or a
+    label that is not one.
+    """
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = filter(None, csv.reader(fh))
+        first = next(rows, None)
+        if first is not None and float_cells([first], 1, len(first)) is None:
+            first = next(rows, None)  # header
+        if first is None or len(first) < 1 + labeled:
+            return None
+        try:
+            cells = np.fromiter(map(float, _data_cells(chain([first], rows), len(first), labeled)),
+                                float)
+        except (ValueError, KeyError):
+            return None
+    return cells.reshape(-1, len(first))
+
+
 def _data_rows(path):
     """The nonempty rows of a CSV file after any header, their file line
-    numbers and their common width.
+    numbers and their common width, as lists; only for naming a fault.
 
-    The whole file goes through one csv.reader; a blank line reads as an
-    empty row and is skipped.  A row's line number is the reader's line
-    count after it, the line it ends on, since a quoted cell may span lines.
-    A first row with a cell that is not a number is a header.  ParseError
-    on an empty file or a ragged row.
+    A row's line number is the reader's line count after it, the line it
+    ends on, since a quoted cell may span lines.  ParseError on an empty
+    file or a ragged row.
     """
     rows, lines = [], []
     with open(path, encoding="utf-8", newline="") as fh:
@@ -95,10 +132,18 @@ def _data_rows(path):
     return rows, lines, width
 
 
-def _first_fault(path, rows, lines, labeled):
-    """The ParseError of the first bad row (some row must be bad): its label
-    when ``labeled``, then its first cell that is not a number, then a
-    feature that is not finite."""
+def _first_fault(path, labeled):
+    """The ParseError of the first fault of a file that _read_cells rejected
+    or found a non-finite feature in, reading it again row by row.
+
+    _data_rows raises for an empty file, a file with only a header and a
+    ragged row.  Otherwise the first bad row is named: its label when
+    ``labeled``, then its first cell that is not a number, then a feature
+    that is not finite.
+    """
+    rows, lines, width = _data_rows(path)
+    if labeled and width < 2:
+        return ParseError(f"{path}: need at least one feature column and a label column")
     for ln, row in zip(lines, rows):
         if labeled:
             raw_label = row[-1].strip()
@@ -117,49 +162,54 @@ def _first_fault(path, rows, lines, labeled):
 
 
 def load_csv(path: str) -> Dataset:
-    """Read a labeled dataset (features..., label).
-
-    The cells and labels are converted a file at a time; when any of them
-    fails, _first_fault goes through the rows again for the first bad line.
-    """
-    rows, lines, width = _data_rows(path)
-    if width < 2:
-        raise ParseError(f"{path}: need at least one feature column and a label column")
-    feats = float_cells((row[:-1] for row in rows), len(rows), width - 1)
-    try:
-        labels = np.fromiter((_LABELS[row[-1].strip()] for row in rows), float, len(rows))
-    except KeyError:
-        labels = None
-    if feats is None or labels is None or not np.all(np.isfinite(feats)):
-        raise _first_fault(path, rows, lines, labeled=True)
-    return Dataset(feats, labels)
+    """Read a labeled dataset (features..., label) in one pass over the file;
+    on a fault, _first_fault reads it again to name the first bad line."""
+    cells = _read_cells(path, labeled=True)
+    if cells is None or not np.all(np.isfinite(cells)):
+        raise _first_fault(path, labeled=True)
+    return Dataset(cells[:, :-1].copy(), cells[:, -1].copy())
 
 
 def load_features_csv(path: str) -> np.ndarray:
-    """Read an unlabeled feature matrix (used by prediction), a file at a
-    time; _first_fault runs only to report the first bad line."""
-    rows, lines, width = _data_rows(path)
-    feats = float_cells(rows, len(rows), width)
+    """Read an unlabeled feature matrix (used by prediction) in one pass over
+    the file; on a fault, _first_fault reads it again to name the first bad
+    line."""
+    feats = _read_cells(path, labeled=False)
     if feats is None or not np.all(np.isfinite(feats)):
-        raise _first_fault(path, rows, lines, labeled=False)
+        raise _first_fault(path, labeled=False)
     return feats
+
+
+#: Cells of a labeled CSV that are formatted into text and written at a time.
+WRITE_CELLS = 2**12
 
 
 def _labeled_text(features, labels):
     """One line per row: the features with 17 significant digits, then the
     label as "1" when it is above 0 and "-1" otherwise."""
     row = ",".join(["%.17g"] * features.shape[1] + ["%s"])
-    signs = ["1" if p else "-1" for p in (np.asarray(labels) > 0).tolist()]
-    lines = [row % (*x, s) for x, s in zip(features.tolist(), signs, strict=True)]
+    signs = ["1" if p else "-1" for p in (labels > 0).tolist()]
+    lines = [row % (*x, s) for x, s in zip(features.tolist(), signs)]
     return "\n".join(lines) + "\n"
 
 
+def _labeled_chunks(features, labels):
+    """_labeled_text of WRITE_CELLS cells' worth of rows at a time.  An empty
+    batch is one empty chunk, so its file is the single line end "\n"."""
+    labels = np.asarray(labels)
+    if labels.shape != features.shape[:1]:
+        raise InputError(f"{labels.shape} labels do not match {features.shape[0]} rows")
+    step = max(1, WRITE_CELLS // (features.shape[1] + 1))
+    return (_labeled_text(features[i:i + step], labels[i:i + step])
+            for i in range(0, max(len(features), 1), step))
+
+
 def save_csv(ds: Dataset, path: str) -> None:
-    write_text_atomic(path, _labeled_text(ds.X, ds.y))
+    write_text_atomic(path, _labeled_chunks(ds.X, ds.y))
 
 
 def save_labeled_features(features, labels, path: str) -> None:
-    write_text_atomic(path, _labeled_text(np.asarray(features, dtype=float), labels))
+    write_text_atomic(path, _labeled_chunks(np.asarray(features, dtype=float), labels))
 
 
 #: Features with standard deviation below this are centered but not scaled.

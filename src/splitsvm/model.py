@@ -40,8 +40,9 @@ from .losses import LOSSES, MarginLoss
 FORMAT_NAME = "splitsvm-model"
 FORMAT_VERSION = 1
 
-#: Rows of the cross-kernel matrix that prediction forms at a time.
-PREDICT_BLOCK = 1024
+#: Cells of the cross-kernel matrix that prediction forms at a time: 2**17
+#: doubles, 1 MB, in blocks of max(1, PREDICT_CELLS // training points) rows.
+PREDICT_CELLS = 2**17
 
 
 @dataclass(frozen=True)
@@ -87,8 +88,12 @@ class TrainedModel:
 def decision_values(m: TrainedModel, points) -> np.ndarray:
     """s(x) for each point; a single 1-D point is read as one row.
 
-    Forms PREDICT_BLOCK rows of the cross-kernel matrix at a time so memory
-    does not grow with the batch.
+    Scales the points and forms the cross-kernel matrix a block of about
+    PREDICT_CELLS cells at a time, so memory does not grow with the batch.
+    Each row's sum over the training points is taken in one fixed order
+    (einsum's own loop, not a BLAS matrix-vector product, which rounds the
+    last rows of a block differently), so a point's value does not depend
+    on the block size or on which other points share its batch.
     """
     x = np.asarray(points, dtype=float)
     pts = x[None, :] if x.ndim == 1 else x
@@ -98,12 +103,12 @@ def decision_values(m: TrainedModel, points) -> np.ndarray:
         )
     if not np.all(np.isfinite(pts)):
         raise InputError("prediction inputs must be finite")
-    if m.scaling is not None:
-        pts = m.scaling.apply(pts)
     out = np.empty(pts.shape[0])
-    for i in range(0, pts.shape[0], PREDICT_BLOCK):
-        block = slice(i, i + PREDICT_BLOCK)
-        out[block] = cross_gram(m.kernel, pts[block], m.inputs) @ m.coeffs
+    rows = max(1, PREDICT_CELLS // m.inputs.shape[0])
+    for i in range(0, pts.shape[0], rows):
+        block = slice(i, i + rows)
+        scaled = pts[block] if m.scaling is None else m.scaling.apply(pts[block])
+        np.einsum("ij,j->i", cross_gram(m.kernel, scaled, m.inputs), m.coeffs, out=out[block])
     return out
 
 

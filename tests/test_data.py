@@ -1,3 +1,4 @@
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from _oracles import csv_by_cell, format_row
 from splitsvm.data import (
     SCALE_FLOOR,
+    WRITE_CELLS,
     Dataset,
     generate_synthetic,
     load_csv,
@@ -198,9 +200,11 @@ def random_features(rng, rows, cols):
 
 
 def spelled(rng, v):
-    """v written in one of the spellings the readers take."""
+    """v written in one of the spellings the readers take, one of them a
+    quoted cell that spans three lines."""
     v = float(v)
-    return rng.choice([f"{v!r}", f"{v:+.17g}", f"{v:.16E}", f" {v!r} ", f'"{v!r}"'])
+    return rng.choice([f"{v!r}", f"{v:+.17g}", f"{v:.16E}", f" {v!r} ", f'"{v!r}"',
+                       f'"\n{v!r}\n"'])
 
 
 @pytest.mark.parametrize("newline", ["\n", "\r\n"])
@@ -230,19 +234,45 @@ def test_readers_match_the_per_cell_reference(tmp_path, rng, newline, header):
     assert feats.flags.c_contiguous and ds.X.flags.c_contiguous
 
 
-def test_writers_match_the_per_value_formula(tmp_path, rng):
-    x = random_features(rng, 200, 2)
-    y = rng.choice([-1.0, 1.0], size=200)
-    expected = "\n".join(format_row(x[i], y[i]) for i in range(200)) + "\n"
-    save_csv(Dataset(x, y), str(tmp_path / "a.csv"))
-    assert (tmp_path / "a.csv").read_bytes() == expected.encode()
+#: Rows of two features and a label that the writers format at a time.
+CHUNK = WRITE_CELLS // 3
 
-    scores = np.concatenate([y[:-4], [0.0, -0.0, np.nan, 2.5]])
-    expected = "\n".join(format_row(x[i], scores[i]) for i in range(200)) + "\n"
-    save_labeled_features(x, scores, str(tmp_path / "b.csv"))
-    assert (tmp_path / "b.csv").read_bytes() == expected.encode()
+
+def test_writers_match_the_per_value_formula(tmp_path, rng):
+    # Batch sizes on either side of a chunk's edge; an empty batch is "\n".
+    for rows in (0, 1, CHUNK - 1, CHUNK, CHUNK + 1, 200):
+        x = random_features(rng, rows, 2)
+        y = rng.choice([-1.0, 1.0], size=rows)
+        if rows:
+            expected = "\n".join(format_row(x[i], y[i]) for i in range(rows)) + "\n"
+            save_csv(Dataset(x, y), str(tmp_path / "a.csv"))
+            assert (tmp_path / "a.csv").read_bytes() == expected.encode()
+
+        scores = np.concatenate([y, [0.0, -0.0, np.nan, 2.5]])[4:]
+        expected = "\n".join(format_row(x[i], scores[i]) for i in range(rows)) + "\n"
+        save_labeled_features(x, scores, str(tmp_path / "b.csv"))
+        assert (tmp_path / "b.csv").read_bytes() == expected.encode()
     save_labeled_features(np.empty((0, 2)), np.empty(0), str(tmp_path / "c.csv"))
     assert (tmp_path / "c.csv").read_bytes() == b"\n"
+
+
+def test_a_writer_that_fails_mid_file_leaves_no_file(tmp_path, monkeypatch):
+    import splitsvm.data as data_mod
+
+    real, calls = data_mod._labeled_text, []
+
+    def fail_on_second_chunk(features, labels):
+        calls.append(len(features))
+        if len(calls) == 2:
+            raise RuntimeError("formatter failed")
+        return real(features, labels)
+
+    monkeypatch.setattr(data_mod, "_labeled_text", fail_on_second_chunk)
+    x = np.zeros((CHUNK + 1, 2))
+    with pytest.raises(RuntimeError, match="formatter failed"):
+        save_labeled_features(x, np.ones(CHUNK + 1), str(tmp_path / "out.csv"))
+    assert calls == [CHUNK, 1]
+    assert list(tmp_path.iterdir()) == []
 
 
 LATE_ROWS = 20000
@@ -282,10 +312,11 @@ def test_late_non_finite_feature_names_its_line(tmp_path, cell):
 
 
 def test_late_ragged_row_names_its_line(tmp_path):
-    path, ln = late_error_file(tmp_path, "0.5,0.5,0.5", 19990)
-    with pytest.raises(ParseError) as exc:
-        load_features_csv(path)
-    assert str(exc.value) == f"{path}: line {ln} has 3 fields, expected 2"
+    for load, labeled in ((load_features_csv, False), (load_csv, True)):
+        path, ln = late_error_file(tmp_path, "0.5,0.5,0.5,1", 19990, labeled)
+        with pytest.raises(ParseError) as exc:
+            load(path)
+        assert str(exc.value) == f"{path}: line {ln} has 4 fields, expected {2 + labeled}"
 
 
 @pytest.mark.parametrize("load,suffix", [(load_features_csv, ""), (load_csv, ",1")])
@@ -317,6 +348,7 @@ def test_fault_precedence_across_and_within_rows(tmp_path, labeled):
     # The first bad row is named even when a later row has a fault checked
     # earlier within a row; within a row a cell that is not a number comes
     # before finiteness; a ragged row is named before any cell is read.
+    # A file with no rows, or only blank ones, or only a header, has no data.
     load, suffix = (load_csv, ",1") if labeled else (load_features_csv, "")
     width = 2 + labeled
     cases = [
@@ -324,10 +356,15 @@ def test_fault_precedence_across_and_within_rows(tmp_path, labeled):
         (["0.5,0.5", "inf,abc"], "line 2: field 2 is not a number: 'abc'"),
         (["0.5,0.5", "0.5,abc", "0.5,0.5,0.5"],
          f"line 3 has {width + 1} fields, expected {width}"),
+        (["x1,x2", "", "0.5,0.5", "", "0.5,nan"], "line 5: features must be finite"),
+        ([], "file contains no data"),
+        (["", ""], "file contains no data"),
+        (["x1,x2"], "file contains a header but no data"),
+        (["", "x1,x2", ""], "file contains a header but no data"),
     ]
     path = tmp_path / "faults.csv"
-    for rows, message in cases:
-        path.write_text("".join(row + suffix + "\n" for row in rows))
+    for (rows, message), newline in itertools.product(cases, ["\n", "\r\n"]):
+        path.write_bytes("".join((row and row + suffix) + newline for row in rows).encode())
         with pytest.raises(ParseError) as exc:
             load(str(path))
         assert str(exc.value) == f"{path}: {message}"

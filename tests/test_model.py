@@ -15,7 +15,7 @@ from splitsvm.errors import (
 from splitsvm.kernels import GramMatrix, KernelSpec, cross_gram, gram
 from splitsvm.losses import HINGE, RAMP, TLOG
 from splitsvm.model import (
-    PREDICT_BLOCK,
+    PREDICT_CELLS,
     FeatureScaling,
     rho_condition,
     ModelMeta,
@@ -64,9 +64,28 @@ def test_decision_values_in_blocks_match_the_one_shot_product(rng):
     pts = rng.uniform(-2.0, 2.0, size=(30, 2))
     coeffs = rng.normal(size=30)
     m = toy_model(coeffs=coeffs, inputs=pts)
-    q = rng.uniform(-3.0, 3.0, size=(2 * PREDICT_BLOCK + 37, 2))
+    q = rng.uniform(-3.0, 3.0, size=(2 * (PREDICT_CELLS // 30) + 37, 2))
     one_shot = cross_gram(m.kernel, q, pts) @ coeffs
     np.testing.assert_allclose(decision_values(m, q), one_shot, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("family", ["gaussian", "matern1"])
+def test_decision_values_do_not_depend_on_the_block(rng, monkeypatch, family):
+    # Blocks of 1, 7 and 128 rows, and the whole batch as one block, give
+    # the same bits, and a single 1-D point gets its value in the batch.
+    import splitsvm.model as model_mod
+
+    centres = rng.uniform(-2.0, 2.0, size=(37, 3))
+    scaling = FeatureScaling(np.array([0.5, -1.0, 0.0]), np.array([1.5, 2.0, 0.75]))
+    m = TrainedModel(KernelSpec(family, 0.7), 0.1, centres, rng.normal(size=37),
+                     ModelMeta("hinge", 1.0, True, 0.0, 0.0), scaling=scaling)
+    q = rng.uniform(-3.0, 3.0, size=(300, 3))
+    expected = decision_values(m, q).view(np.int64)
+    for rows in (1, 7, 128, len(q)):
+        monkeypatch.setattr(model_mod, "PREDICT_CELLS", rows * len(centres))
+        np.testing.assert_array_equal(decision_values(m, q).view(np.int64), expected)
+        for i in (0, 6, 7, 128, 299):
+            assert decision_values(m, q[i]).view(np.int64).tolist() == [expected[i]]
 
 
 def test_decision_values_of_no_points_is_empty():
