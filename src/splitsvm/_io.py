@@ -2,17 +2,31 @@
 
 Output files are written to a temporary file in the destination directory and
 renamed into place, so a failed or interrupted write never leaves a partial
-file behind; a writer may hand over its text a chunk at a time.  Numeric
-cells are converted by ``float()``, so a reader accepts exactly the spellings
-Python's ``float`` does.
+file behind; a writer may hand over its text a chunk at a time.  Input files
+must be UTF-8 text.  Numeric cells are converted by ``float()``, so a reader
+accepts exactly the spellings Python's ``float`` does.
 """
 
 import os
 import tempfile
 from collections.abc import Iterable
+from contextlib import contextmanager, suppress
 from itertools import chain
 
 import numpy as np
+
+from .errors import ParseError
+
+
+@contextmanager
+def open_text(path: str):
+    """``path`` opened to read UTF-8 text with its line ends as they are;
+    ParseError, with no offset (decoding is chunked), when it is not UTF-8."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            raise ParseError(f"{path}: not UTF-8 text") from None
 
 
 def write_text_atomic(path: str, text: str | Iterable[str]) -> None:
@@ -26,10 +40,8 @@ def write_text_atomic(path: str, text: str | Iterable[str]) -> None:
             fh.writelines(text)
         os.replace(tmp, path)
     except BaseException:
-        try:
+        with suppress(OSError):
             os.unlink(tmp)
-        except OSError:
-            pass
         raise
 
 

@@ -377,28 +377,26 @@ def admm_run(
     traces = [IterationTrace() for _ in inits]
     prev_lag = [None] * len(inits)
     results = [None] * len(inits)
-    prev_c = st.c
-    prev_ac = st.ac
     for _ in range(cfg.max_iter):
-        st = admm_step(loss, y, A, cfg, st, inverse)
+        prev, st = st, admm_step(loss, y, A, cfg, st, inverse)
         k = st.k
         res = st.alpha - st.ac
         risk_alpha = _risk(loss, y, st.alpha)
         risk_ac = _risk(loss, y, st.ac)
         gamma = 2.0 * cfg.lam * st.c
-        columns = zip(st.alpha.T, st.c.T, st.ac.T, res.T, gamma.T, (st.c - prev_c).T,
-                      (st.ac - prev_ac).T)
+        columns = zip(st.alpha.T, st.c.T, st.ac.T, res.T, gamma.T, (st.c - prev.c).T,
+                      (st.ac - prev.ac).T)
         for i, (alpha, c, ac, r, g, dc, dac) in enumerate(columns):
             j = starts[i]
             r_sq = float(r.dot(r))
             if math.sqrt(r_sq) < cfg.eps0:
                 # The stop check: the true product replaces the carried one
-                # in this step's own A c, a fresh array, never prev_ac.
+                # in this step's own A c, a fresh array, never prev.ac.
                 ac[:] = a_dot(A, c)
                 r = alpha - ac
                 r_sq = float(r.dot(r))
                 risk_ac[i] = _risk(loss, labels, ac)
-                dac = ac - prev_ac[:, i]
+                dac = ac - prev.ac[:, i]
             resid = math.sqrt(r_sq)
             cac = float(c.dot(ac))
             lag = _lagrangian_given(risk_alpha[i], cfg, g, r, cac, r_sq)
@@ -430,8 +428,6 @@ def admm_run(
             starts = [starts[i] for i in keep]
             if not starts:
                 break
-        prev_c = st.c
-        prev_ac = st.ac
     for i, j in enumerate(starts):
         results[j] = AdmmRunResult(_column_state(st, i), traces[j], "max_iter")
     return results

@@ -41,6 +41,16 @@ from .model import (
 )
 
 
+def _int_from(low):
+    """An argparse type: an integer of at least ``low``."""
+    def parse(text):
+        if int(text) < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {text}")
+        return int(text)
+    parse.__name__ = "int"  # argparse's name for text that is not an integer
+    return parse
+
+
 def _add_hyper_flags(p):
     p.add_argument("--loss", choices=sorted(LOSSES), default="hinge")
     p.add_argument("--kernel", choices=KERNEL_FAMILIES, default="gaussian")
@@ -52,7 +62,7 @@ def _add_hyper_flags(p):
     p.add_argument("--eps0", type=float, default=1e-12,
                    help="stopping threshold on ||alpha - A c|| (default 1e-12)")
     p.add_argument("--max-iter", type=int, default=10000)
-    p.add_argument("--starts", type=int, default=20,
+    p.add_argument("--starts", type=_int_from(1), default=20,
                    help="independent random starts (default 20)")
 
 
@@ -67,13 +77,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-data", help="write synthetic train/test CSVs")
     p.add_argument("--n-train", type=int, default=300)
     p.add_argument("--n-test", type=int, default=120)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_from(0), default=0)
     p.add_argument("--train", dest="train_path", required=True, help="output train CSV")
     p.add_argument("--test", dest="test_path", required=True, help="output test CSV")
 
     p = sub.add_parser("train", help="fit a classifier")
     _add_hyper_flags(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_from(0), default=0)
     p.add_argument("--train", dest="train_path", required=True, help="labeled train CSV")
     p.add_argument("--model", dest="model_path", required=True, help="output model file")
     p.add_argument("--trace", dest="trace_path", help="optional per-iteration CSV")
@@ -94,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce", help="run a canned benchmark")
     p.add_argument("table", choices=("t1", "t2", "fig3"))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_from(0), default=0)
     p.add_argument("--output", dest="output_path", required=True, help="output CSV")
 
     return parser

@@ -17,7 +17,7 @@ from itertools import chain
 
 import numpy as np
 
-from ._io import float_cells, write_text_atomic
+from ._io import float_cells, open_text, write_text_atomic
 from .errors import InputError, ParseError
 
 _LABELS = {"1": 1.0, "+1": 1.0, "-1": -1.0}
@@ -54,6 +54,8 @@ def generate_synthetic(n_train: int, n_test: int, seed: int):
     for name, count in (("n_train", n_train), ("n_test", n_test)):
         if count < 2 or count % 2 != 0:
             raise InputError(f"{name} must be an even count of at least 2, got {count}")
+    if seed < 0:
+        raise InputError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
 
     def draw(count):
@@ -89,7 +91,7 @@ def _read_cells(path, labeled):
     columns when ``labeled``, a ragged row, a cell that is not a number or a
     label that is not one.
     """
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open_text(path) as fh:
         rows = filter(None, csv.reader(fh))
         first = next(rows, None)
         if first is not None and float_cells([first], 1, len(first)) is None:
@@ -113,7 +115,7 @@ def _data_rows(path):
     file or a ragged row.
     """
     rows, lines = [], []
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open_text(path) as fh:
         reader = csv.reader(fh)
         for row in reader:
             if row:

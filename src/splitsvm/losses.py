@@ -20,20 +20,22 @@ stationary point of each piece clipped to that piece, and the breakpoints.
 An affine piece with slope s has its stationary point at z = v - s h; the
 logarithmic piece has the real roots of z^2 - (2 + v) z + 2 v + h = 0.
 Each loss solves its subproblem in closed form over these candidates:
-hinge, and ramp for h < 2, collapse to branch tables; pl2, tlog, and ramp
-for h >= 2 score every candidate with a fixed array expression and keep
-the best.  The tests check every table against an enumerator over the
-pieces (``tests/_oracles.py``).
+hinge, and ramp for h < 2, collapse to branch tables; tlog, and pl2 and
+ramp for h >= 2 through one table for affine pieces, score every candidate
+with a fixed array expression and keep the best.  The tables assume finite
+margins: prox_vector alone makes an infinite anchor its own minimizer.
+The tests check every table against an enumerator over the pieces
+(``tests/_oracles.py``).
 
 Ties within TIE_TOL of the minimal objective resolve to the smallest
 minimizer a (the hinge and ramp branch tables keep their own boundaries on
-near-ties; see prox_vector).  A NaN anchor gives a NaN minimizer, an
-infinite anchor gives itself, and a NaN margin gives a NaN loss.
+near-ties; see prox_vector).  A NaN anchor gives a NaN minimizer and a NaN
+margin gives a NaN loss.
 """
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import reduce, wraps
+from functools import reduce
 
 import numpy as np
 
@@ -42,13 +44,12 @@ from .errors import InputError
 #: Objective gap under which two candidate minimizers count as tied.
 TIE_TOL = 1e-12
 
-_INF = float("inf")
-
 
 @dataclass(frozen=True)
 class MarginLoss:
     """A named margin loss: its value at margins z, elementwise, and the
-    exact subproblem minimizers ``prox(y, v, h, rho, n)`` (see prox_vector)."""
+    exact subproblem minimizers ``prox(y, v, h, rho, n)`` at finite margins
+    v (see prox_vector)."""
 
     name: str
     value: Callable = field(repr=False)
@@ -59,50 +60,40 @@ def _smallest_tied(y, zs, vals):
     """The smallest a = y z among the candidate margins zs whose objectives
     vals lie within TIE_TOL of the best."""
     limit = reduce(np.minimum, vals) + TIE_TOL
-    return reduce(np.minimum, [np.where(f > limit, _INF, y * z) for z, f in zip(zs, vals)])
-
-
-def _scoring_table(table):
-    """A table that scores candidates, made to give a = y v at an infinite
-    anchor v, its own minimizer.  The table scores a finite stand-in
-    there, so its objectives never meet inf - inf; finite anchors are
-    scored as they are."""
-
-    @wraps(table)
-    def prox(y, v, h, rho, n):
-        inf = np.isinf(v)
-        if not inf.any():
-            return table(y, v, h, rho, n)
-        return np.where(inf, y * v, table(y, np.where(inf, 0.0, v), h, rho, n))
-
-    return prox
+    return reduce(np.minimum, [np.where(f > limit, np.inf, y * z) for z, f in zip(zs, vals)])
 
 
 def _hinge_prox(y, v, h, rho, n):
     return y * np.where(v < 1.0 - h, v + h, np.where(v < 1.0, 1.0, v))
 
 
-@_scoring_table
-def _pl2_prox(y, v, h, rho, n):
-    # The candidates: the clipped stationary point of each piece, then the
-    # breakpoints 0 and 1.  Each objective is the loss written out (2 at
-    # z = 0, 0 for z >= 1) plus (rho/2)(z - v)^2 in the order of operations
-    # of the tests' enumerator, so that ties round alike in both.
-    c = 0.5 * rho
-    z_neg = np.minimum(v + h, 0.0)
-    z_mid = np.minimum(np.maximum(v + 2.0 * h, 0.0), 1.0)
-    z_flat = np.maximum(v, 1.0)
-    vals = (
-        (2.0 - z_neg) / n + c * (z_neg - v) ** 2,
-        (2.0 - 2.0 * z_mid) / n + c * (z_mid - v) ** 2,
-        c * (z_flat - v) ** 2,
-        2.0 / n + c * v ** 2,
-        c * (1.0 - v) ** 2,
-    )
-    return _smallest_tied(y, (z_neg, z_mid, z_flat, 0.0, 1.0), vals)
+def _affine_prox(a_neg, s_neg, a_mid, s_mid):
+    """The table of the loss a_neg - s_neg z on z < 0, a_mid - s_mid z on
+    0 <= z < 1, 0 on z >= 1.  It scores each piece's clipped stationary point
+    and the breakpoints 0 and 1, each objective written in the order of
+    operations of the tests' enumerator, so that ties round alike in both."""
+
+    def prox(y, v, h, rho, n):
+        c = 0.5 * rho
+        z_neg = np.minimum(v + s_neg * h, 0.0)
+        z_mid = np.minimum(np.maximum(v + s_mid * h, 0.0), 1.0)
+        z_flat = np.maximum(v, 1.0)
+        vals = (
+            (a_neg - s_neg * z_neg) / n + c * (z_neg - v) ** 2,
+            (a_mid - s_mid * z_mid) / n + c * (z_mid - v) ** 2,
+            c * (z_flat - v) ** 2,
+            a_mid / n + c * v ** 2,
+            c * (1.0 - v) ** 2,
+        )
+        return _smallest_tied(y, (z_neg, z_mid, z_flat, 0.0, 1.0), vals)
+
+    return prox
 
 
-@_scoring_table
+_pl2_prox = _affine_prox(2.0, 1.0, 2.0, 2.0)
+_ramp_wide_prox = _affine_prox(1.0, 0.0, 1.0, 1.0)
+
+
 def _tlog_prox(y, v, h, rho, n):
     # The candidates: both clipped roots of the log piece (1 when there is
     # no real root), the flat piece, the breakpoint 1.
@@ -129,26 +120,10 @@ def _ramp_prox(y, v, h, rho, n):
         # At v = -h/2 the flat and sloped pieces tie; the smaller minimizer
         # is -h/2 for either label.
         return np.where(v == -0.5 * h, -0.5 * h, y * z)
-    return _ramp_wide_prox(y, v, h, rho, n)
-
-
-@_scoring_table
-def _ramp_wide_prox(y, v, h, rho, n):
     # From h = 2 on the sloped branch (-h/2, 1 - h] is empty and the flat
-    # piece competes with the margin directly: score every candidate as
-    # pl2 does (the loss is 1 for z <= 0).
-    c = 0.5 * rho
-    z_neg = np.minimum(v, 0.0)
-    z_mid = np.minimum(np.maximum(v + h, 0.0), 1.0)
-    z_flat = np.maximum(v, 1.0)
-    vals = (
-        1.0 / n + c * (z_neg - v) ** 2,
-        (1.0 - z_mid) / n + c * (z_mid - v) ** 2,
-        c * (z_flat - v) ** 2,
-        1.0 / n + c * v ** 2,
-        c * (1.0 - v) ** 2,
-    )
-    return _smallest_tied(y, (z_neg, z_mid, z_flat, 0.0, 1.0), vals)
+    # piece competes with the margin directly: score every candidate as pl2
+    # does (the loss is 1 for z <= 0).
+    return _ramp_wide_prox(y, v, h, rho, n)
 
 
 def _hinge_value(z):
@@ -176,12 +151,9 @@ LOSSES = {loss.name: loss for loss in (HINGE, PL2, TLOG, RAMP)}
 
 
 def get_loss(name: str) -> MarginLoss:
-    try:
-        return LOSSES[name]
-    except KeyError:
-        raise InputError(
-            f"unknown loss {name!r}; choose from {sorted(LOSSES)}"
-        ) from None
+    if name not in LOSSES:
+        raise InputError(f"unknown loss {name!r}; choose from {sorted(LOSSES)}")
+    return LOSSES[name]
 
 
 def margin_value(loss: MarginLoss, z):
@@ -200,7 +172,8 @@ def prox_vector(loss, rho, n, labels, anchors) -> np.ndarray:
     branch tables follow it too, except on anchors whose candidates are
     within TIE_TOL of a tie without being equal, where they keep their own
     branch's minimizer, whose objective is within TIE_TOL of the smallest
-    one's.
+    one's.  An infinite anchor is its own minimizer; the table scores a
+    finite stand-in there, so its objectives never meet inf - inf.
     """
     if not (rho > 0 and np.isfinite(rho)):
         raise InputError(f"rho must be positive, got {rho}")
@@ -208,4 +181,8 @@ def prox_vector(loss, rho, n, labels, anchors) -> np.ndarray:
         raise InputError(f"sample count must be an integer of at least 1, got {n}")
     y = np.asarray(labels, dtype=float)
     v = y * np.asarray(anchors, dtype=float)
-    return loss.prox(y, v, 1.0 / (rho * n), rho, n)
+    h = 1.0 / (rho * n)
+    inf = np.isinf(v)
+    if not inf.any():
+        return loss.prox(y, v, h, rho, n)
+    return np.where(inf, y * v, loss.prox(y, np.where(inf, 0.0, v), h, rho, n))

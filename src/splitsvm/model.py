@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._io import float_cells, write_text_atomic
+from ._io import float_cells, open_text, write_text_atomic
 from .admm import (
     AdmmConfig,
     IterationTrace,
@@ -76,8 +76,8 @@ class TrainedModel:
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs, dtype=float)
         self.coeffs = np.asarray(self.coeffs, dtype=float)
-        if self.inputs.ndim != 2:
-            raise InputError("model inputs must be a 2-D array")
+        if self.inputs.ndim != 2 or self.inputs.size == 0:
+            raise InputError("model inputs must be a nonempty 2-D array")
         if self.coeffs.shape != (self.inputs.shape[0],):
             raise InputError(
                 f"coefficient count {self.coeffs.shape} does not match "
@@ -182,6 +182,8 @@ def train_multistart(
     """
     if starts < 1:
         raise InputError(f"need at least one start, got {starts}")
+    if seed < 0:
+        raise InputError(f"seed must be non-negative, got {seed}")
     A = gram_matrix if gram_matrix is not None else gram(kernel_spec, data.X)
     if A.size != data.n:
         raise InputError("kernel matrix size does not match the dataset")
@@ -251,7 +253,7 @@ def save_model(m: TrainedModel, path: str) -> None:
 class _Reader:
     def __init__(self, path):
         self.path = path
-        with open(path, encoding="utf-8") as fh:
+        with open_text(path) as fh:
             self.lines = fh.read().splitlines()
         self.pos = 0
 

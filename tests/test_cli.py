@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,35 @@ def test_parse_rejects_unknown_table():
 def test_parse_requires_subcommand():
     with pytest.raises(SystemExit):
         parse_args([])
+
+
+def test_parse_accepts_the_lowest_seed_and_starts():
+    rc = parse_args(["train", "--train", "a.csv", "--model", "m.txt",
+                     "--seed", "0", "--starts", "1"])
+    assert (rc.seed, rc.starts) == (0, 1)
+
+
+# Each names files that do not exist: the bad value is reported, by
+# argparse with exit status 2, before any file is read or written.
+@pytest.mark.parametrize("argv, message", [
+    (["train", "--seed", "-1", "--train", "missing.csv", "--model", "m.txt"],
+     "argument --seed: must be at least 0, got -1"),
+    (["train", "--starts", "0", "--train", "missing.csv", "--model", "m.txt"],
+     "argument --starts: must be at least 1, got 0"),
+    (["gen-data", "--seed", "-1", "--train", "a.csv", "--test", "b.csv"],
+     "argument --seed: must be at least 0, got -1"),
+    (["reproduce", "t2", "--seed", "-1", "--output", "o.csv"],
+     "argument --seed: must be at least 0, got -1"),
+], ids=["train-seed", "train-starts", "gen-data-seed", "reproduce-seed"])
+def test_negative_seed_and_zero_starts_fail_before_any_file(tmp_path, capsys, argv, message):
+    argv = [str(tmp_path / a) if a.endswith((".csv", ".txt")) else a for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "missing.csv" not in err
+    assert os.listdir(tmp_path) == []
 
 
 # ---------------------------------------------------------------------------
@@ -239,6 +270,17 @@ def test_predict_writes_labeled_csv(tmp_path, capsys, data_files):
     assert pred.n == ds.n
     np.testing.assert_allclose(pred.X, ds.X, rtol=1e-15)
     assert set(np.unique(pred.y)) <= {-1.0, 1.0}
+
+
+def test_predict_with_a_model_that_is_not_utf8(tmp_path, capsys):
+    model_path = tmp_path / "model.txt"
+    model_path.write_bytes(b"splitsvm-model 1\n\xff\n")
+    out_path = tmp_path / "o.csv"
+    code = run_cli("predict", "--model", str(model_path),
+                   "--data", str(tmp_path / "no.csv"), "--output", str(out_path))
+    assert code == 1
+    assert capsys.readouterr().err == f"error: {model_path}: not UTF-8 text\n"
+    assert not out_path.exists()
 
 
 def test_predict_missing_model(tmp_path, capsys):

@@ -96,6 +96,11 @@ def test_synthetic_rejects_odd_or_tiny_counts(n_train, n_test):
         generate_synthetic(n_train, n_test, seed=0)
 
 
+def test_synthetic_rejects_a_negative_seed():
+    with pytest.raises(InputError, match="seed must be non-negative, got -1"):
+        generate_synthetic(10, 10, seed=-1)
+
+
 # ---------------------------------------------------------------------------
 # CSV round trips
 # ---------------------------------------------------------------------------
@@ -178,6 +183,19 @@ def test_load_csv_ragged_rows_reported_with_line_number(tmp_path):
 def test_load_missing_file_raises_oserror(tmp_path):
     with pytest.raises(OSError):
         load_csv(str(tmp_path / "nope.csv"))
+
+
+# A byte 0xff in the first row, in a header, or past the decoder's first
+# chunks of text.
+@pytest.mark.parametrize("load, row", [(load_csv, b"1.5,2.5,1\n"), (load_features_csv, b"1.5,2.5\n")],
+                         ids=["load_csv", "load_features_csv"])
+@pytest.mark.parametrize("head", [b"", b"x\xff,y\n", b"1.5,2.5,1\n" * 3000],
+                         ids=["first-row", "header", "late"])
+def test_readers_reject_text_that_is_not_utf8(tmp_path, load, row, head):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(head + b"\xff" + row + row)
+    with pytest.raises(ParseError, match=r"bad\.csv: not UTF-8 text$"):
+        load(str(path))
 
 
 # ---------------------------------------------------------------------------

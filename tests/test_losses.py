@@ -49,6 +49,16 @@ def bits(x):
     return np.asarray(x, dtype=float).view(np.int64)
 
 
+def boundary_cases(rho, n):
+    """Labels and anchors whose margins v = y u land exactly on the tables'
+    boundaries at h = 1/(rho n): +0.0, -0.0, -h/2, -h, -2h, 1 - h, 1 - 2h
+    and 1, each for both labels."""
+    h = 1.0 / (rho * n)
+    margins = np.array([0.0, -0.0, -0.5 * h, -h, -2.0 * h, 1.0 - h, 1.0 - 2.0 * h, 1.0])
+    labels = np.repeat([1.0, -1.0], margins.size)
+    return labels, labels * np.tile(margins, 2)
+
+
 # ---------------------------------------------------------------------------
 # margin-space loss values
 # ---------------------------------------------------------------------------
@@ -347,6 +357,11 @@ def test_closed_form_matches_enumerator_random(loss, rng):
         fast = prox_vector(loss, rho, n, labels, anchors)
         slow = prox_enumerated(loss, rho, n, labels, anchors)
         np.testing.assert_array_equal(bits(fast), bits(slow))
+    for rho, n in ((1.0, 2), (0.1, 1)):  # h = 0.5 and h = 10
+        labels, anchors = boundary_cases(rho, n)
+        fast = prox_vector(loss, rho, n, labels, anchors)
+        slow = prox_enumerated(loss, rho, n, labels, anchors)
+        np.testing.assert_array_equal(bits(fast), bits(slow))
 
 
 def test_ramp_wide_prox_matches_oracle(rng):
@@ -362,6 +377,13 @@ def test_ramp_wide_prox_matches_oracle(rng):
         ga, gv = grid_prox(RAMP, rho, n, lab, u)
         g = prox_subproblem(RAMP, rho, n, lab, u)
         assert float(g(a)) <= gv + 1e-6
+    # Anchors on the boundaries, below the wide table (h = 0.5), where it
+    # takes over (h = 2) and above (h = 10).
+    for rho, n in ((1.0, 2), (0.5, 1), (0.1, 1)):
+        labels, anchors = boundary_cases(rho, n)
+        out = prox_vector(RAMP, rho, n, labels, anchors)
+        ref = prox_enumerated(RAMP, rho, n, labels, anchors)
+        np.testing.assert_array_equal(bits(out), bits(ref))
 
 
 # ---------------------------------------------------------------------------

@@ -130,8 +130,13 @@ def test_scaling_applied_before_kernel():
 
 
 def test_model_shape_validation():
-    with pytest.raises(InputError):
-        toy_model(coeffs=(1.0, 2.0), inputs=((0.0, 0.0),))
+    for coeffs, inputs in (
+        ((1.0, 2.0), ((0.0, 0.0),)),
+        ((), np.zeros((0, 2))),  # no training points
+        ((1.0,), np.zeros((1, 0))),  # no features
+    ):
+        with pytest.raises(InputError):
+            toy_model(coeffs=coeffs, inputs=inputs)
 
 
 def test_rkhs_norm_sq():
@@ -216,6 +221,14 @@ def test_multistart_requires_a_start(small_split):
     with pytest.raises(InputError):
         train_multistart(train, KernelSpec("gaussian", 1.0), HINGE, cfg,
                          starts=0, seed=0)
+
+
+def test_multistart_rejects_a_negative_seed(small_split):
+    train, _ = small_split
+    cfg = AdmmConfig(lam=0.5, rho=5.0, enforce_rho_condition="off")
+    with pytest.raises(InputError, match="seed must be non-negative, got -1"):
+        train_multistart(train, KernelSpec("gaussian", 1.0), HINGE, cfg,
+                         starts=1, seed=-1)
 
 
 def test_multistart_enforces_rho_condition(separated_instance):
@@ -473,6 +486,16 @@ def test_load_rejects_non_numeric(tmp_path):
     path = write_model_file(tmp_path, poison)
     with pytest.raises(ParseError, match="numbers"):
         load_model(path)
+
+
+@pytest.mark.parametrize("index", [0, 3, -1])  # header, loss line, last data row
+def test_load_rejects_text_that_is_not_utf8(tmp_path, saved_model_lines, index):
+    lines = [line.encode() for line in saved_model_lines]
+    lines[index] += b"\xff"
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(ParseError, match=r"bad\.txt: not UTF-8 text$"):
+        load_model(str(path))
 
 
 def test_load_missing_file(tmp_path):
