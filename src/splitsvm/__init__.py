@@ -4,14 +4,13 @@ from .admm import (
     AdmmConfig,
     AdmmState,
     IterationTrace,
-    RhoCondition,
     TraceRecord,
     admm_run,
     admm_step,
     initial_state,
     stationarity_residual,
 )
-from .data import Dataset, generate_synthetic, load_csv, save_csv, standardize
+from .data import Dataset, FeatureScaling, generate_synthetic, load_csv, save_csv
 from .errors import (
     DefinitenessError,
     DuplicatePointError,
@@ -33,6 +32,8 @@ from .losses import (
     prox_vector,
 )
 from .model import (
+    DESCENT_SLACK,
+    RhoCondition,
     TrainedModel,
     decision_values,
     load_model,

@@ -20,10 +20,13 @@ from .errors import ParseError
 
 @contextmanager
 def open_text(path: str):
-    """``path`` opened to read UTF-8 text with its line ends as they are;
+    """``path`` opened to read UTF-8 text with its line ends as they are,
+    past a leading byte-order mark, found by peeking so a pipe reads too;
     ParseError, with no offset (decoding is chunked), when it is not UTF-8."""
     with open(path, encoding="utf-8", newline="") as fh:
         try:
+            if fh.buffer.peek(3).startswith(b"\xef\xbb\xbf"):
+                fh.read(1)
             yield fh
         except UnicodeDecodeError:
             raise ParseError(f"{path}: not UTF-8 text") from None

@@ -57,13 +57,12 @@ checks and diagnostics, then retirement.  A column whose carried residual
 passes has a_dot's A c written into the step's A c, and its record uses
 that product.  A start stops as "converged" when its true residual passes,
 "diverged" at a non-finite objective or residual, and "failed" when
-d^T A d < 0 for its step d.  When rho exceeds the threshold
-4 lam / lambda_min(A) the augmented Lagrangian is guaranteed to decrease
-every iteration, and the iterates are bounded; both facts are monitored
-as diagnostics rather than assumed.
+d^T A d < 0 for its step d.  admm_run iterates and records, and judges
+nothing about rho: when rho exceeds the threshold 4 lam / lambda_min(A)
+the augmented Lagrangian is guaranteed to decrease every iteration, and
+model.train_multistart checks that on each start's finished trace.
 """
 import math
-import warnings
 from array import array
 from dataclasses import dataclass
 
@@ -72,12 +71,9 @@ from scipy.linalg.blas import dsymv
 from scipy.linalg.lapack import dpotrf, dpotri
 
 from ._io import write_text_atomic
-from .errors import DefinitenessError, InputError
+from .errors import DefinitenessError, InputError, check_integers
 from .kernels import LOWER, GramMatrix
 from .losses import MarginLoss, margin_value, prox_vector
-
-#: Allowed uphill movement of the augmented Lagrangian before a warning.
-DESCENT_SLACK = 1e-9
 
 RHO_POLICIES = ("off", "warn", "error")
 
@@ -97,6 +93,7 @@ class AdmmConfig:
             raise InputError(f"penalty rho must be positive, got {self.rho}")
         if not (self.eps0 > 0):
             raise InputError(f"stopping threshold eps0 must be positive, got {self.eps0}")
+        check_integers(max_iter=self.max_iter)
         if self.max_iter < 1:
             raise InputError(f"iteration cap must be at least 1, got {self.max_iter}")
         if self.enforce_rho_condition not in RHO_POLICIES:
@@ -117,21 +114,6 @@ class AdmmState:
     #: by admm_step through the c-update identity (equal to rounding).
     ac: np.ndarray
     k: int
-
-
-@dataclass(frozen=True)
-class RhoCondition:
-    """Verdict on rho > 4 lam / lambda_min(A): "satisfied", "NOT satisfied",
-    "not verifiable" (``detail`` says why) or "not checked" (policy "off")."""
-
-    status: str
-    lambda_min: float | None = None
-    threshold: float | None = None
-    detail: str = ""
-
-    @property
-    def ok(self) -> bool:
-        return self.status == "satisfied"
 
 
 @dataclass(frozen=True)
@@ -165,6 +147,13 @@ class IterationTrace:
     @property
     def final(self) -> TraceRecord:
         return TraceRecord(*(col[-1] for col in self._columns))
+
+    def rises(self, slack: float) -> list:
+        """(k, rise) of each record whose Lagrangian exceeds the previous
+        record's by more than ``slack``, in record order."""
+        ks, lags = self._columns[:2]
+        return [(k, lag - prev) for k, prev, lag in zip(ks[1:], lags, lags[1:])
+                if lag > prev + slack]
 
     def __len__(self) -> int:
         return len(self._columns[0])
@@ -258,8 +247,7 @@ def c_solve(inverse, b) -> np.ndarray:
     return dsymv(1.0, inverse, b, lower=LOWER)
 
 
-def admm_step(loss: MarginLoss, labels, A: GramMatrix, cfg: AdmmConfig, st: AdmmState,
-              inverse) -> AdmmState:
+def admm_step(loss: MarginLoss, labels, cfg: AdmmConfig, st: AdmmState, inverse) -> AdmmState:
     """One full iteration (alpha, c, gamma); the input state is not modified.
 
     ``st`` holds one start (1-D arrays) or a block of starts (N x S arrays,
@@ -274,7 +262,7 @@ def admm_step(loss: MarginLoss, labels, A: GramMatrix, cfg: AdmmConfig, st: Admm
     product.  That ``ac`` equals a_dot(A, c) to rounding, and its error
     carries over from ``st.ac``.
     """
-    n = A.size
+    n = st.c.shape[0]
     if np.shape(labels)[:1] != (n,) or np.ndim(labels) > np.ndim(st.c):
         raise InputError("labels must match the kernel matrix size")
     gamma = 2.0 * cfg.lam * st.c
@@ -320,15 +308,8 @@ def _column_state(st: AdmmState, i: int) -> AdmmState:
                      ac=st.ac[:, i].copy(), k=st.k)
 
 
-def admm_run(
-    loss: MarginLoss,
-    labels,
-    A: GramMatrix,
-    cfg: AdmmConfig,
-    inits,
-    rho_check: RhoCondition | None = None,
-    inverse=None,
-) -> list:
+def admm_run(loss: MarginLoss, labels, A: GramMatrix, cfg: AdmmConfig, inits,
+             inverse=None) -> list:
     """Iterate every start in ``inits`` until ||alpha - A c|| < eps0 or the cap.
 
     The starts run as one block, one per column (see the module docstring),
@@ -342,14 +323,12 @@ def admm_run(
     objective and Lagrangian therefore use the carried A c, except on a
     stop-check record; a "max_iter" run ends on a carried objective.
 
-    ``inverse`` is c_inverse(A, cfg), built here when not given.  The
-    monotone-descent diagnostic runs only when ``rho_check`` says rho
-    clears the threshold, since the guarantee only applies above it; its
-    warnings from different starts may interleave.  Raises
-    DefinitenessError when 2 lam I + rho A is not positive definite, and
-    InputError when ``inits`` is empty, a start's arrays are not of shape
-    (N,) or a start is not at iteration 0 (every start comes from
-    initial_state).
+    ``inverse`` is c_inverse(A, cfg), built here when not given.  Nothing
+    here reads the rho condition: train_multistart checks descent on the
+    finished traces.  Raises DefinitenessError when 2 lam I + rho A is not
+    positive definite, and InputError when ``inits`` is empty, a start's
+    arrays are not of shape (N,) or a start is not at iteration 0 (every
+    start comes from initial_state).
     """
     labels = np.asarray(labels, dtype=float)
     if labels.shape != (A.size,):
@@ -364,7 +343,6 @@ def admm_run(
         if s.k != 0:
             raise InputError(f"start {j}: must be at iteration 0, got k = {s.k}")
     y = labels[:, None]
-    monitor_descent = rho_check is not None and rho_check.ok
     if inverse is None:
         inverse = c_inverse(A, cfg)
 
@@ -375,10 +353,9 @@ def admm_run(
                    ac=block([s.ac for s in inits]), k=0)
     starts = list(range(len(inits)))  # the start in each column of the block
     traces = [IterationTrace() for _ in inits]
-    prev_lag = [None] * len(inits)
     results = [None] * len(inits)
     for _ in range(cfg.max_iter):
-        prev, st = st, admm_step(loss, y, A, cfg, st, inverse)
+        prev, st = st, admm_step(loss, y, cfg, st, inverse)
         k = st.k
         res = st.alpha - st.ac
         risk_alpha = _risk(loss, y, st.alpha)
@@ -411,14 +388,6 @@ def admm_run(
                 error = f"diverged at iteration {k} (objective {obj}, residual {resid})"
                 results[j] = AdmmRunResult(_column_state(st, i), traces[j], "diverged", error)
                 continue
-            if monitor_descent and prev_lag[j] is not None and lag > prev_lag[j] + DESCENT_SLACK:
-                warnings.warn(
-                    f"augmented Lagrangian rose by {lag - prev_lag[j]:.3e} at iteration "
-                    f"{k} despite rho clearing the descent threshold",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            prev_lag[j] = lag
             if resid < cfg.eps0:
                 results[j] = AdmmRunResult(_column_state(st, i), traces[j], "converged")
         keep = [i for i, j in enumerate(starts) if results[j] is None]

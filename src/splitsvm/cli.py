@@ -21,18 +21,18 @@ from . import experiments
 from ._io import write_text_atomic
 from .admm import RHO_POLICIES, AdmmConfig
 from .data import (
+    Dataset,
+    FeatureScaling,
     generate_synthetic,
     load_csv,
     load_features_csv,
     save_csv,
     save_labeled_features,
-    standardize,
 )
 from .errors import SplitSvmError
 from .kernels import KERNEL_FAMILIES, KernelSpec, gram
 from .losses import LOSSES, get_loss
 from .model import (
-    FeatureScaling,
     load_model,
     predict_labels,
     rho_condition,
@@ -131,8 +131,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     train = load_csv(args.train_path)
     scaling = None
     if args.standardize:
-        train, _, means, scales = standardize(train)
-        scaling = FeatureScaling(means, scales)
+        scaling = FeatureScaling.fit(train.X)
+        train = Dataset(scaling.apply(train.X), train.y)
     A = gram(spec, train.X)
 
     check = rho_condition(A, cfg)

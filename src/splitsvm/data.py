@@ -18,7 +18,7 @@ from itertools import chain
 import numpy as np
 
 from ._io import float_cells, open_text, write_text_atomic
-from .errors import InputError, ParseError
+from .errors import InputError, ParseError, check_integers
 
 _LABELS = {"1": 1.0, "+1": 1.0, "-1": -1.0}
 
@@ -51,6 +51,7 @@ class Dataset:
 
 def generate_synthetic(n_train: int, n_test: int, seed: int):
     """Balanced train/test draws from the two overlapping squares."""
+    check_integers(n_train=n_train, n_test=n_test, seed=seed)
     for name, count in (("n_train", n_train), ("n_test", n_test)):
         if count < 2 or count % 2 != 0:
             raise InputError(f"{name} must be an even count of at least 2, got {count}")
@@ -218,20 +219,20 @@ def save_labeled_features(features, labels, path: str) -> None:
 SCALE_FLOOR = 1e-12
 
 
-def standardize(train: Dataset, others=()):
-    """Center/scale features by the training statistics only.
+@dataclass(frozen=True)
+class FeatureScaling:
+    """Feature centering and scaling.  Test or prediction data must always be
+    transformed with the training statistics, never its own."""
 
-    Returns (train_scaled, [others_scaled...], means, scales).  The scales
-    are the training standard deviations with 1.0 substituted where the
-    deviation is below SCALE_FLOOR (such features are centered, not scaled).
-    Test or prediction data must always be transformed with the training
-    statistics, never its own.
-    """
-    means = train.X.mean(axis=0)
-    stds = train.X.std(axis=0)
-    scales = np.where(stds < SCALE_FLOOR, 1.0, stds)
+    means: np.ndarray
+    scales: np.ndarray
 
-    def apply(ds):
-        return Dataset((ds.X - means) / scales, ds.y)
+    @classmethod
+    def fit(cls, X: np.ndarray) -> "FeatureScaling":
+        """The means and standard deviations of the columns of ``X``, with
+        1.0 for a deviation below SCALE_FLOOR (centered, not scaled)."""
+        stds = X.std(axis=0)
+        return cls(X.mean(axis=0), np.where(stds < SCALE_FLOOR, 1.0, stds))
 
-    return apply(train), [apply(ds) for ds in others], means, scales
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        return (x - self.means) / self.scales

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import numbers
+
 
 class SplitSvmError(Exception):
     """Base class for every error raised by this package."""
@@ -27,3 +29,10 @@ class FormatVersionError(ParseError):
 
 class TrainingError(SplitSvmError):
     """No training start produced a usable solution."""
+
+
+def check_integers(**values) -> None:
+    """InputError naming the first of ``values`` that is not an integer."""
+    for name, value in values.items():
+        if not isinstance(value, numbers.Integral):
+            raise InputError(f"{name} must be an integer, got {value!r}")

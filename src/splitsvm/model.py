@@ -18,21 +18,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._io import float_cells, open_text, write_text_atomic
-from .admm import (
-    AdmmConfig,
-    IterationTrace,
-    RhoCondition,
-    admm_run,
-    c_inverse,
-    initial_state,
-)
-from .data import Dataset
+from .admm import AdmmConfig, IterationTrace, admm_run, c_inverse, initial_state
+from .data import Dataset, FeatureScaling
 from .errors import (
     DefinitenessError,
     FormatVersionError,
     InputError,
     ParseError,
     TrainingError,
+    check_integers,
 )
 from .kernels import GramMatrix, KernelSpec, cross_gram, gram, min_eigenvalue
 from .losses import LOSSES, MarginLoss
@@ -53,15 +47,6 @@ class ModelMeta:
     final_residual: float
     objective: float
     start_index: int = 0
-
-
-@dataclass(frozen=True)
-class FeatureScaling:
-    means: np.ndarray
-    scales: np.ndarray
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        return (x - self.means) / self.scales
 
 
 @dataclass
@@ -115,6 +100,25 @@ def decision_values(m: TrainedModel, points) -> np.ndarray:
 def predict_labels(m: TrainedModel, points) -> np.ndarray:
     dv = decision_values(m, points)
     return np.where(dv >= 0.0, 1.0, -1.0)
+
+
+#: Allowed uphill movement of the augmented Lagrangian before a warning.
+DESCENT_SLACK = 1e-9
+
+
+@dataclass(frozen=True)
+class RhoCondition:
+    """Verdict on rho > 4 lam / lambda_min(A): "satisfied", "NOT satisfied",
+    "not verifiable" (``detail`` says why) or "not checked" (policy "off")."""
+
+    status: str
+    lambda_min: float | None = None
+    threshold: float | None = None
+    detail: str = ""
+
+    @property
+    def ok(self) -> bool:
+        return self.status == "satisfied"
 
 
 def rho_condition(A: GramMatrix, cfg: AdmmConfig) -> RhoCondition:
@@ -176,10 +180,14 @@ def train_multistart(
     bit for bit the one it gets alone, whatever ``starts`` is.  Ties in
     the final objective resolve to the lowest start index; a start that
     failed or diverged is never selected.  ``rho_check`` is the verdict
-    of rho_condition when the caller already has it.  Returns
-    (TrainedModel, [StartSummary...]); only the chosen start's summary
-    keeps its trace, and the model metadata records which start won.
+    of rho_condition when the caller already has it; None computes it.
+    When it is "satisfied", each start's finished trace is checked for
+    descent: each Lagrangian rise above DESCENT_SLACK warns, start by start,
+    except at the record a start diverged at.  Returns (TrainedModel,
+    [StartSummary...]); only the chosen start's summary keeps its trace,
+    and the model metadata records which start won.
     """
+    check_integers(starts=starts, seed=seed)
     if starts < 1:
         raise InputError(f"need at least one start, got {starts}")
     if seed < 0:
@@ -192,9 +200,17 @@ def train_multistart(
     inverse = c_inverse(A, cfg)
     inits = [initial_state(A, np.random.default_rng(seed + s)) for s in range(starts)]
 
+    runs = admm_run(loss, data.y, A, cfg, inits, inverse)
+    if rho_check.ok:  # the descent monitor
+        for run in runs:
+            for k, rise in run.trace.rises(DESCENT_SLACK):
+                if run.status != "diverged" or k < run.state.k:
+                    warnings.warn(f"augmented Lagrangian rose by {rise:.3e} at iteration {k} "
+                                  "despite rho clearing the descent threshold", RuntimeWarning,
+                                  stacklevel=2)
     summaries = []
     best = None
-    for s, run in enumerate(admm_run(loss, data.y, A, cfg, inits, rho_check, inverse)):
+    for s, run in enumerate(runs):
         if run.status == "failed":
             summaries.append(StartSummary(s, None, None, None, None, error=run.error))
             continue

@@ -32,7 +32,7 @@ from splitsvm.admm import (
     stationarity_residual,
 )
 from splitsvm.cli import main as cli_main
-from splitsvm.data import generate_synthetic, load_csv, standardize
+from splitsvm.data import Dataset, FeatureScaling, generate_synthetic, load_csv
 from splitsvm.experiments import size_scaling_table
 from splitsvm.kernels import KernelSpec, gram, min_eigenvalue
 from splitsvm.losses import (
@@ -230,7 +230,7 @@ def test_c04_multiplier_identity_every_iteration(separated_instance):
         inverse = c_inverse(mat, cfg)
         st = initial_state(mat, np.random.default_rng(1))
         for _ in range(iters):
-            nxt = admm_step(loss, y, mat, cfg, st, inverse)
+            nxt = admm_step(loss, y, cfg, st, inverse)
             # textbook multiplier update from gamma_k = 2 lam c_k
             updated = 2.0 * cfg.lam * st.c + cfg.rho * (nxt.alpha - mat.entries @ nxt.c)
             gap = float(np.max(np.abs(updated - 2.0 * cfg.lam * nxt.c)))
@@ -267,7 +267,7 @@ def test_c05_descent_and_boundedness(separated_instance):
         lags = []
         norms = []
         for _ in range(cfg.max_iter):
-            st = admm_step(loss, data.y, A, cfg, st, inverse)
+            st = admm_step(loss, data.y, cfg, st, inverse)
             lags.append(lagrangian(loss, data.y, A, cfg, st))
             norms.append(float(st.c @ st.c))
             if float(np.linalg.norm(st.alpha - A.entries @ st.c)) < cfg.eps0:
@@ -432,7 +432,8 @@ def test_c11_wine_quality_pipeline():
     problems = []
     train = load_csv(train_path)
     test = load_csv(test_path)
-    train_s, [test_s], _, _ = standardize(train, [test])
+    scaling = FeatureScaling.fit(train.X)
+    train_s, test_s = (Dataset(scaling.apply(ds.X), ds.y) for ds in (train, test))
     cfg = AdmmConfig(lam=0.5, rho=1.0, eps0=1e-6, max_iter=3000,
                      enforce_rho_condition="off")
     best = None

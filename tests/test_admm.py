@@ -10,11 +10,9 @@ from scipy.linalg.lapack import dpotrf, dpotri
 
 from _oracles import cholesky_solver, lagrangian, objective_value
 from splitsvm.admm import (
-    DESCENT_SLACK,
     AdmmConfig,
     AdmmState,
     IterationTrace,
-    RhoCondition,
     TraceRecord,
     _lagrangian_given,
     _psd_form,
@@ -31,7 +29,7 @@ from splitsvm.data import generate_synthetic
 from splitsvm.errors import DefinitenessError, InputError
 from splitsvm.kernels import LOWER, GramMatrix, KernelSpec, gram
 from splitsvm.losses import HINGE, PL2, RAMP, TLOG, margin_value
-from splitsvm.model import rho_condition
+from splitsvm.model import DESCENT_SLACK, RhoCondition, rho_condition, train_multistart
 
 
 def unit_instance():
@@ -145,7 +143,7 @@ def test_one_step_worked_example():
     A, y = unit_instance()
     cfg = AdmmConfig(lam=0.25, rho=1.0)
     st0 = state(A, [0.0], [0.0])
-    st1 = admm_step(HINGE, y, A, cfg, st0, c_inverse(A, cfg))
+    st1 = admm_step(HINGE, y, cfg, st0, c_inverse(A, cfg))
     assert st1.k == 1
     assert st1.alpha[0] == 1.0
     assert st1.c[0] == pytest.approx(2.0 / 3.0, abs=1e-12)
@@ -159,7 +157,7 @@ def test_fixed_point_is_preserved_bitwise():
     A, y = unit_instance()
     cfg = AdmmConfig(lam=1.0, rho=1.0)
     st = state(A, [0.5], [0.5])
-    nxt = admm_step(HINGE, y, A, cfg, st, c_inverse(A, cfg))
+    nxt = admm_step(HINGE, y, cfg, st, c_inverse(A, cfg))
     np.testing.assert_array_equal(nxt.alpha, st.alpha)
     np.testing.assert_array_equal(nxt.c, st.c)
     np.testing.assert_array_equal(nxt.ac, st.ac)
@@ -173,7 +171,7 @@ def test_step_rejects_mismatched_labels():
     inverse = c_inverse(A, cfg)
     for labels in (np.ones(5), np.ones(1), 1.0, np.ones((6, 1))):
         with pytest.raises(InputError):
-            admm_step(HINGE, labels, A, cfg, st, inverse)
+            admm_step(HINGE, labels, cfg, st, inverse)
 
 
 def test_run_rejects_mismatched_labels():
@@ -211,8 +209,8 @@ def test_step_of_a_block_in_either_order_equals_its_columns_alone(order, rng):
                         for f in ("alpha", "c", "ac")), k=0)
     assert block.c.flags[f"{order}_CONTIGUOUS"]
     for _ in range(3):
-        block = admm_step(PL2, y[:, None], A, cfg, block, inverse)
-        starts = [admm_step(PL2, y, A, cfg, s, inverse) for s in starts]
+        block = admm_step(PL2, y[:, None], cfg, block, inverse)
+        starts = [admm_step(PL2, y, cfg, s, inverse) for s in starts]
         for i, s in enumerate(starts):
             for f in ("alpha", "c", "ac"):
                 np.testing.assert_array_equal(getattr(block, f)[:, i], getattr(s, f))
@@ -226,7 +224,7 @@ def test_multiplier_identity_after_every_step():
     inverse = c_inverse(A, cfg)
     st = initial_state(A, np.random.default_rng(0))
     for _ in range(30):
-        nxt = admm_step(TLOG, y, A, cfg, st, inverse)
+        nxt = admm_step(TLOG, y, cfg, st, inverse)
         updated = 2.0 * cfg.lam * st.c + cfg.rho * (nxt.alpha - A.entries @ nxt.c)
         gap = np.max(np.abs(updated - 2.0 * cfg.lam * nxt.c))
         assert gap <= 1e-12 * (1.0 + np.max(np.abs(nxt.c)))
@@ -289,45 +287,88 @@ def test_run_deterministic_for_equal_seeds():
 
 
 def test_monotone_descent_when_condition_holds(separated_instance):
-    data, _, A = separated_instance
+    data, spec, A = separated_instance
     cfg = AdmmConfig(lam=0.5, rho=5.0, eps0=1e-12, max_iter=500)
-    init = initial_state(A, np.random.default_rng(3))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         check = rho_condition(A, cfg)
-        out = admm_run(HINGE, data.y, A, cfg, [init], check)[0]
+        _, (summary,) = train_multistart(data, spec, HINGE, cfg, starts=1, seed=3,
+                                         gram_matrix=A, rho_check=check)
     assert check.ok
     assert check.lambda_min == float(eigh(A.entries.T, lower=False, eigvals_only=True,
                                           subset_by_index=[0, 0], driver="evr")[0])
-    lags = [r.lagrangian for r in out.trace.records]
+    lags = [r.lagrangian for r in summary.trace.records]
     for prev, cur in zip(lags, lags[1:]):
         assert cur <= prev + DESCENT_SLACK
 
 
-def test_descent_monitor_warns_on_each_rise(separated_instance, monkeypatch):
-    # A Lagrangian that reads 0, 1, 2 rises twice; the monitor warns on
-    # each rise when rho clears the threshold, and never otherwise.
+def rise_warning(k, rise):
+    return (RuntimeWarning, f"augmented Lagrangian rose by {rise:.3e} at iteration {k} "
+                            "despite rho clearing the descent threshold")
+
+
+def train_with_lagrangians(monkeypatch, separated_instance, values, verdict, starts=1,
+                           max_iter=3):
+    """train_multistart with admm_run's Lagrangians read from ``values``, in
+    the order the block forms them; returns the warnings it gives."""
     import splitsvm.admm as admm_mod
 
-    data, _, A = separated_instance
-    cfg = AdmmConfig(lam=0.5, rho=5.0, max_iter=3)
-    check = rho_condition(A, cfg)
+    data, spec, A = separated_instance
+    cfg = AdmmConfig(lam=0.5, rho=5.0, max_iter=max_iter)
+    values = iter(values)
+    monkeypatch.setattr(admm_mod, "_lagrangian_given", lambda *args: next(values))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        train_multistart(data, spec, HINGE, cfg, starts=starts, seed=3, gram_matrix=A,
+                         rho_check=verdict)
+    assert next(values, None) is None
+    return [(w.category, str(w.message)) for w in caught]
+
+
+def test_descent_monitor_warns_on_each_rise(separated_instance, monkeypatch):
+    # A Lagrangian that reads 0, 1, 2 rises twice; the monitor warns on
+    # each rise when rho clears the threshold, and never otherwise.  A
+    # verdict of None is computed, here "satisfied".
+    _, _, A = separated_instance
+    check = rho_condition(A, AdmmConfig(lam=0.5, rho=5.0))
     assert check.status == "satisfied"
-    init = initial_state(A, np.random.default_rng(3))
     for verdict in (check, None, RhoCondition("not checked"),
                     RhoCondition("NOT satisfied", check.lambda_min, 100.0),
                     RhoCondition("not verifiable", detail="singular")):
-        values = iter([0.0, 1.0, 2.0])
-        monkeypatch.setattr(admm_mod, "_lagrangian_given", lambda *args: next(values))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            out = admm_run(HINGE, data.y, A, cfg, [init], verdict)[0]
-        assert out.status == "max_iter" and out.state.k == 3
-        expected = [f"augmented Lagrangian rose by 1.000e+00 at iteration {k} despite rho "
-                    "clearing the descent threshold" for k in (2, 3)] if verdict is check else []
-        assert [(w.category, str(w.message)) for w in caught] == [
-            (RuntimeWarning, text) for text in expected
-        ]
+        caught = train_with_lagrangians(monkeypatch, separated_instance, [0.0, 1.0, 2.0],
+                                        verdict)
+        expected = [rise_warning(k, 1.0) for k in (2, 3)] if verdict in (check, None) else []
+        assert caught == expected
+
+
+def test_descent_warnings_come_grouped_by_start(separated_instance, monkeypatch):
+    # The block forms each iteration's Lagrangians column by column: start
+    # 0 reads 0, 1, 2 and start 1 reads 0, 5, 4.
+    check = rho_condition(separated_instance[2], AdmmConfig(lam=0.5, rho=5.0))
+    caught = train_with_lagrangians(monkeypatch, separated_instance,
+                                    [0.0, 0.0, 1.0, 5.0, 2.0, 4.0], check, starts=2)
+    assert caught == [rise_warning(2, 1.0), rise_warning(3, 1.0), rise_warning(2, 5.0)]
+
+
+def test_descent_monitor_skips_the_record_a_start_diverged_at(separated_instance,
+                                                              monkeypatch):
+    # Start 0 diverges at iteration 2, on a Lagrangian that rose; only start
+    # 1's rises are reported.
+    import splitsvm.admm as admm_mod
+
+    real_step = admm_mod.admm_step
+
+    def step(loss, labels, cfg, st, inverse):
+        nxt = real_step(loss, labels, cfg, st, inverse)
+        if nxt.k == 2:
+            nxt.c[:, 0] = np.nan
+        return nxt
+
+    monkeypatch.setattr(admm_mod, "admm_step", step)
+    check = rho_condition(separated_instance[2], AdmmConfig(lam=0.5, rho=5.0))
+    caught = train_with_lagrangians(monkeypatch, separated_instance,
+                                    [0.0, 0.0, 1.0, 2.0, 3.0], check, starts=2)
+    assert caught == [rise_warning(2, 2.0), rise_warning(3, 1.0)]
 
 
 def test_rho_policy_warn_below_threshold(separated_instance):
@@ -413,7 +454,7 @@ def drifted_fixed_point():
 
 def test_stop_check_refuses_a_drifted_a_c():
     A, y, cfg, st = drifted_fixed_point()
-    nxt = admm_step(HINGE, y, A, cfg, st, c_inverse(A, cfg))
+    nxt = admm_step(HINGE, y, cfg, st, c_inverse(A, cfg))
     true_resid = float(np.linalg.norm(nxt.alpha - a_dot(A, nxt.c)))
     assert float(np.linalg.norm(nxt.alpha - nxt.ac)) < cfg.eps0 < true_resid
 
@@ -488,7 +529,7 @@ def test_step_carries_a_c():
     eps = np.finfo(float).eps
     for _ in range(50):
         st = replace(st, ac=a_dot(A, st.c))
-        nxt = admm_step(PL2, y, A, cfg, st, inverse)
+        nxt = admm_step(PL2, y, cfg, st, inverse)
         scale = max(np.abs(st.c).max(), np.abs(nxt.c).max())
         tol = 2.0 * A.size * eps * np.abs(A.entries).max() * scale
         assert np.max(np.abs(nxt.ac - a_dot(A, nxt.c))) <= tol
@@ -510,7 +551,7 @@ def test_carried_a_c_drift_over_a_long_run():
         st = initial_state(A, np.random.default_rng(0))
         budget = 0.0
         for _ in range(2000):
-            nxt = admm_step(loss, train.y, A, cfg, st, inverse)
+            nxt = admm_step(loss, train.y, cfg, st, inverse)
             budget += eps * (np.abs(nxt.alpha).max() + 2.0 * lam / rho * np.abs(nxt.c).max()
                              + A.size * np.abs(A.entries).max() * np.abs(nxt.c - st.c).max())
             st = nxt
@@ -569,10 +610,10 @@ def test_block_starts_equal_their_runs_alone(loss, monkeypatch):
     real_risk = admm_mod._risk
     widths = []
 
-    def step(loss, labels, A, cfg, st, inverse):
+    def step(loss, labels, cfg, st, inverse):
         assert all(a.flags.f_contiguous for a in (st.alpha, st.c, st.ac))
         widths.append(st.c.shape[1])
-        return real_step(loss, labels, A, cfg, st, inverse)
+        return real_step(loss, labels, cfg, st, inverse)
 
     def risk(loss, labels, t):
         # Every risk is taken on a block of contiguous columns.
@@ -755,7 +796,7 @@ def test_rkhs_step_norm_general_matrix():
     inverse = c_inverse(A, cfg)
     st = init
     for rec in out.trace.records:
-        nxt = admm_step(TLOG, y, A, cfg, st, inverse)
+        nxt = admm_step(TLOG, y, cfg, st, inverse)
         d = nxt.c - st.c
         assert rec.step_norm_H == pytest.approx(math.sqrt(d @ A.entries @ d), rel=1e-10)
         st = nxt

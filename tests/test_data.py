@@ -1,4 +1,5 @@
 import itertools
+import os
 from pathlib import Path
 
 import numpy as np
@@ -9,12 +10,12 @@ from splitsvm.data import (
     SCALE_FLOOR,
     WRITE_CELLS,
     Dataset,
+    FeatureScaling,
     generate_synthetic,
     load_csv,
     load_features_csv,
     save_csv,
     save_labeled_features,
-    standardize,
 )
 from splitsvm.errors import InputError, ParseError
 
@@ -196,6 +197,31 @@ def test_readers_reject_text_that_is_not_utf8(tmp_path, load, row, head):
     path.write_bytes(head + b"\xff" + row + row)
     with pytest.raises(ParseError, match=r"bad\.csv: not UTF-8 text$"):
         load(str(path))
+
+
+@pytest.mark.parametrize("head", [b"", b"x1,x2,label\n"], ids=["no-header", "header"])
+def test_readers_skip_a_byte_order_mark(tmp_path, head):
+    # The mark is not part of the first row: it neither hides a data row
+    # nor keeps a header from being one.
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + head + b"1.0,2.0,1\n3.0,4.0,-1\n")
+    ds = load_csv(str(path))
+    np.testing.assert_array_equal(ds.X, [[1.0, 2.0], [3.0, 4.0]])
+    np.testing.assert_array_equal(ds.y, [1.0, -1.0])
+    np.testing.assert_array_equal(load_features_csv(str(path))[:, :2], ds.X)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"], ids=["plain", "bom"])
+def test_load_csv_reads_a_pipe(bom):
+    read_end, write_end = os.pipe()
+    os.write(write_end, bom + b"1.0,2.0,1\n3.0,4.0,-1\n")
+    os.close(write_end)
+    try:
+        ds = load_csv(f"/dev/fd/{read_end}")
+    finally:
+        os.close(read_end)
+    np.testing.assert_array_equal(ds.y, [1.0, -1.0])
 
 
 # ---------------------------------------------------------------------------
@@ -394,33 +420,31 @@ def test_fault_precedence_across_and_within_rows(tmp_path, labeled):
 
 
 def test_standardize_train_statistics(rng):
-    train = Dataset(rng.normal(loc=3.0, scale=2.0, size=(50, 4)), rng.choice([-1.0, 1.0], size=50))
-    scaled, rest, means, scales = standardize(train)
-    assert rest == []
-    np.testing.assert_allclose(means, train.X.mean(axis=0))
-    np.testing.assert_allclose(scales, train.X.std(axis=0))
-    np.testing.assert_allclose(scaled.X.mean(axis=0), 0.0, atol=1e-12)
-    np.testing.assert_allclose(scaled.X.std(axis=0), 1.0, rtol=1e-12)
-    np.testing.assert_array_equal(scaled.y, train.y)
+    X = rng.normal(loc=3.0, scale=2.0, size=(50, 4))
+    scaling = FeatureScaling.fit(X)
+    np.testing.assert_allclose(scaling.means, X.mean(axis=0))
+    np.testing.assert_allclose(scaling.scales, X.std(axis=0))
+    scaled = scaling.apply(X)
+    np.testing.assert_allclose(scaled.mean(axis=0), 0.0, atol=1e-12)
+    np.testing.assert_allclose(scaled.std(axis=0), 1.0, rtol=1e-12)
 
 
 def test_standardize_applies_train_stats_to_others(rng):
-    train = Dataset(rng.normal(size=(30, 2)), rng.choice([-1.0, 1.0], size=30))
-    test = Dataset(rng.normal(size=(10, 2)), rng.choice([-1.0, 1.0], size=10))
-    _, [test_scaled], means, scales = standardize(train, [test])
-    np.testing.assert_allclose(test_scaled.X, (test.X - means) / scales, rtol=1e-15)
+    train, test = rng.normal(size=(30, 2)), rng.normal(size=(10, 2))
+    scaling = FeatureScaling.fit(train)
+    np.testing.assert_allclose(scaling.apply(test), (test - scaling.means) / scaling.scales,
+                               rtol=1e-15)
 
 
 def test_standardize_constant_feature_centered_not_scaled():
     X = np.array([[1.0, 5.0], [2.0, 5.0], [3.0, 5.0], [4.0, 5.0]])
-    train = Dataset(X, np.array([1.0, -1.0, 1.0, -1.0]))
-    scaled, _, means, scales = standardize(train)
-    assert scales[1] == 1.0  # substituted, not the raw (near-zero) deviation
-    np.testing.assert_allclose(scaled.X[:, 1], 0.0, atol=SCALE_FLOOR)
-    assert means[1] == 5.0
+    scaling = FeatureScaling.fit(X)
+    assert scaling.scales[1] == 1.0  # substituted, not the raw (near-zero) deviation
+    np.testing.assert_allclose(scaling.apply(X)[:, 1], 0.0, atol=SCALE_FLOOR)
+    assert scaling.means[1] == 5.0
 
 
 def test_standardize_round_trips_with_returned_stats(rng):
-    train = Dataset(rng.normal(size=(20, 3)), rng.choice([-1.0, 1.0], size=20))
-    scaled, _, means, scales = standardize(train)
-    np.testing.assert_array_equal(scaled.X, (train.X - means) / scales)
+    X = rng.normal(size=(20, 3))
+    scaling = FeatureScaling.fit(X)
+    np.testing.assert_array_equal(scaling.apply(X), (X - scaling.means) / scaling.scales)

@@ -66,18 +66,27 @@ def test_public_api_importable():
 def test_removed_api_stays_removed():
     import splitsvm
     import splitsvm.admm
+    import splitsvm.data
     import splitsvm.kernels
     import splitsvm.losses
     import splitsvm.model
 
-    for mod in (splitsvm, splitsvm.admm, splitsvm.kernels, splitsvm.losses, splitsvm.model):
+    modules = (splitsvm, splitsvm.admm, splitsvm.data, splitsvm.kernels, splitsvm.losses,
+               splitsvm.model)
+    for mod in modules:
         for name in (
             "prox", "ProxParams", "prox_objective", "loss_value", "eval_kernel",
             "classify", "decision_value", "rkhs_norm_sq", "rkhs_step_norm",
             "lagrangian", "objective_value", "JITTER", "Piece",
             "prox_vector_enumerated", "_piece_values", "_candidate_margins",
+            "standardize",
         ):
             assert not hasattr(mod, name), f"{mod.__name__}.{name}"
+    # The rho verdict and the descent monitor live in splitsvm.model.
+    for name in ("RhoCondition", "DESCENT_SLACK"):
+        assert not hasattr(splitsvm.admm, name), name
+    assert "rho_check" not in inspect.signature(splitsvm.admm_run).parameters
+    assert "A" not in inspect.signature(splitsvm.admm_step).parameters
     for attr in ("admissible_at_zero", "pieces", "breakpoints"):
         assert not hasattr(splitsvm.HINGE, attr), attr
     assert "jitter" not in inspect.signature(splitsvm.gram).parameters

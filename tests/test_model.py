@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from splitsvm.admm import AdmmConfig, _psd_form, admm_run, initial_state
-from splitsvm.data import generate_synthetic, standardize
+from splitsvm.data import Dataset, generate_synthetic
 from splitsvm.errors import (
     DefinitenessError,
     FormatVersionError,
@@ -231,6 +231,28 @@ def test_multistart_rejects_a_negative_seed(small_split):
                          starts=1, seed=-1)
 
 
+def _train(train, starts=1, seed=0):
+    cfg = AdmmConfig(lam=0.5, rho=5.0, max_iter=5, enforce_rho_condition="off")
+    return train_multistart(train, KernelSpec("gaussian", 1.0), HINGE, cfg, starts, seed)
+
+
+@pytest.mark.parametrize("name, call", [
+    ("max_iter", lambda train, v: AdmmConfig(lam=0.5, rho=5.0, max_iter=v)),
+    ("starts", lambda train, v: _train(train, starts=v)),
+    ("seed", lambda train, v: _train(train, seed=v)),
+    ("n_train", lambda train, v: generate_synthetic(v, 2, 0)),
+    ("n_test", lambda train, v: generate_synthetic(2, v, 0)),
+    ("seed", lambda train, v: generate_synthetic(2, 2, v)),
+], ids=["AdmmConfig-max_iter", "train_multistart-starts", "train_multistart-seed",
+        "generate_synthetic-n_train", "generate_synthetic-n_test", "generate_synthetic-seed"])
+def test_integer_arguments_reject_other_numbers(small_split, name, call):
+    train, _ = small_split
+    for value in (2.0, 1.5, "2"):
+        with pytest.raises(InputError, match=f"^{name} must be an integer, got {value!r}$"):
+            call(train, value)
+    call(train, np.int64(2))  # numpy integers are integers
+
+
 def test_multistart_enforces_rho_condition(separated_instance):
     data, spec, _ = separated_instance
     cfg = AdmmConfig(lam=0.5, rho=1.0, enforce_rho_condition="error")
@@ -344,9 +366,8 @@ def trained_small_model(with_scaling=False):
     train, _ = generate_synthetic(20, 4, seed=9)
     scaling = None
     if with_scaling:
-        scaled, _, means, scales = standardize(train)
-        train = scaled
-        scaling = FeatureScaling(means, scales)
+        scaling = FeatureScaling.fit(train.X)
+        train = Dataset(scaling.apply(train.X), train.y)
     cfg = AdmmConfig(lam=0.5, rho=5.0, eps0=1e-10, max_iter=1000,
                      enforce_rho_condition="off")
     model, _ = train_multistart(train, KernelSpec("gaussian", 1.0), TLOG, cfg,
@@ -496,6 +517,19 @@ def test_load_rejects_text_that_is_not_utf8(tmp_path, saved_model_lines, index):
     path.write_bytes(b"\n".join(lines) + b"\n")
     with pytest.raises(ParseError, match=r"bad\.txt: not UTF-8 text$"):
         load_model(str(path))
+
+
+def test_load_skips_a_byte_order_mark(tmp_path):
+    model = trained_small_model(with_scaling=True)
+    path = tmp_path / "model.txt"
+    save_model(model, str(path))
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    back = load_model(str(path))
+    assert back.kernel == model.kernel and back.lam == model.lam and back.meta == model.meta
+    np.testing.assert_array_equal(back.inputs, model.inputs)
+    np.testing.assert_array_equal(back.coeffs, model.coeffs)
+    np.testing.assert_array_equal(back.scaling.means, model.scaling.means)
+    np.testing.assert_array_equal(back.scaling.scales, model.scaling.scales)
 
 
 def test_load_missing_file(tmp_path):
