@@ -137,10 +137,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     check = rho_condition(A, cfg)
     if check.threshold is not None:
-        print(
-            f"rho condition: rho = {cfg.rho:g} vs threshold "
-            f"4*lam/lambda_min = {check.threshold:#.3g} ({check.status})"
-        )
+        print(f"rho condition: rho = {cfg.rho:g} vs threshold {check.threshold_text} "
+              f"({check.status})")
     elif check.detail:
         print(f"rho condition: {check.status} ({check.detail})")
 

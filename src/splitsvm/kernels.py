@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh
+from scipy.linalg.lapack import dpotrf
 from scipy.spatial.distance import cdist, pdist, squareform
 
 from .errors import DefinitenessError, DuplicatePointError, InputError
@@ -62,8 +63,9 @@ class GramMatrix:
 
 
 #: The triangle that every symmetric BLAS and LAPACK call reads, of A and of
-#: the inverse of 2 lam I + rho A (admm.a_dot, c_inverse, c_solve and
-#: min_eigenvalue): False, the upper one in the Fortran view entries.T.
+#: the inverse of 2 lam I + rho A (admm.a_dot, c_inverse, c_solve,
+#: min_eigenvalue, leading_eigenvalue and descent_minor's potrf): False, the
+#: upper one in the Fortran view entries.T.
 LOWER = False
 
 
@@ -108,20 +110,32 @@ def gram(spec: KernelSpec, points) -> GramMatrix:
     return GramMatrix(entries)
 
 
+def noise_floor(A: GramMatrix) -> float:
+    """size * eps * max|A|: an eigenvalue at or below it is rounding noise."""
+    m = A.entries
+    return A.size * float(np.finfo(float).eps) * max(float(m.max()), -float(m.min()))
+
+
+def leading_eigenvalue(A: GramMatrix, k: int) -> float:
+    """Smallest eigenvalue of the leading k x k minor of A, unchecked.
+
+    LAPACK's dsyevr (scipy.linalg.eigh) asked for that eigenvalue alone.  It
+    reads the triangle LOWER names in the Fortran view A.entries.T, as
+    admm.a_dot does, so LAPACK's working copy is not transposed.
+    """
+    return float(eigh(A.entries.T[:k, :k], lower=LOWER, eigvals_only=True,
+                      subset_by_index=[0, 0], driver="evr", check_finite=False)[0])
+
+
 def min_eigenvalue(A: GramMatrix) -> float:
     """Smallest eigenvalue of a symmetric positive definite matrix.
 
-    LAPACK's dsyevr (scipy.linalg.eigh) asked for the smallest eigenvalue
-    alone.  It reads the triangle LOWER names in the Fortran view A.entries.T,
-    as admm.a_dot does, so LAPACK's working copy is not transposed.
-    Raises DefinitenessError when the smallest eigenvalue is not positive,
-    or falls at or below the numerical noise floor size * eps * max|A|, in
-    which case A cannot be certified positive definite at working precision.
+    leading_eigenvalue of the whole matrix.  Raises DefinitenessError when
+    it is not positive, or falls at or below noise_floor(A), in which case
+    A cannot be certified positive definite at working precision.
     """
-    m = A.entries
-    floor = A.size * np.finfo(float).eps * float(np.abs(m).max())
-    w = float(eigh(m.T, lower=LOWER, eigvals_only=True, subset_by_index=[0, 0],
-                   driver="evr", check_finite=False)[0])
+    floor = noise_floor(A)
+    w = leading_eigenvalue(A, A.size)
     if not w > 0:
         raise DefinitenessError(f"matrix is not positive definite: smallest eigenvalue {w:.3e}")
     if not w > floor:
@@ -130,3 +144,18 @@ def min_eigenvalue(A: GramMatrix) -> float:
             f"floor {floor:.3e}; matrix is numerically singular"
         )
     return w
+
+
+def descent_minor(A: GramMatrix, lam: float, rho: float) -> int:
+    """Order k of the first leading minor of rho A - (4 lam - rho f) I that
+    is not positive definite, 0 when there is none; f = noise_floor(A).
+
+    rho > 4 lam / lambda_min(A) says that rho A - 4 lam I is positive
+    definite.  LAPACK's Cholesky factorization (potrf, in place on a copy
+    of rho A in the Fortran view, reading the triangle LOWER names) stops
+    at the first minor that is not.  The shift by rho f lets a condition
+    that holds, or fails by less than the noise floor, factor.
+    """
+    b = (rho * A.entries).T
+    b[np.diag_indices_from(b)] -= 4.0 * lam - rho * noise_floor(A)
+    return int(dpotrf(b, lower=LOWER, clean=0, overwrite_a=1)[1])

@@ -28,7 +28,16 @@ from .errors import (
     TrainingError,
     check_integers,
 )
-from .kernels import GramMatrix, KernelSpec, cross_gram, gram, min_eigenvalue
+from .kernels import (
+    GramMatrix,
+    KernelSpec,
+    cross_gram,
+    descent_minor,
+    gram,
+    leading_eigenvalue,
+    min_eigenvalue,
+    noise_floor,
+)
 from .losses import LOSSES, MarginLoss
 
 FORMAT_NAME = "splitsvm-model"
@@ -109,44 +118,83 @@ DESCENT_SLACK = 1e-9
 @dataclass(frozen=True)
 class RhoCondition:
     """Verdict on rho > 4 lam / lambda_min(A): "satisfied", "NOT satisfied",
-    "not verifiable" (``detail`` says why) or "not checked" (policy "off")."""
+    "not verifiable" (``detail`` says why) or "not checked" (policy "off").
+
+    ``minor`` is 0 when ``threshold`` is 4 lam / lambda_min(A) itself.  When
+    it is k > 0 the condition failed at the leading k x k minor A_k,
+    ``lambda_min`` is None and ``threshold`` is a lower bound on it, from
+    lambda_min(A_k) (see _failed_minor)."""
 
     status: str
     lambda_min: float | None = None
     threshold: float | None = None
     detail: str = ""
+    minor: int = 0
 
     @property
     def ok(self) -> bool:
         return self.status == "satisfied"
 
+    @property
+    def threshold_text(self) -> str:
+        """"4*lam/lambda_min = t", or ">= t" for a bound, to 3 digits."""
+        return f"4*lam/lambda_min {'>=' if self.minor else '='} {self.threshold:#.3g}"
+
+
+def _failed_minor(A: GramMatrix, cfg: AdmmConfig) -> RhoCondition | None:
+    """A "NOT satisfied" verdict from a leading minor, without lambda_min(A).
+
+    descent_minor names the first minor A_k at which the condition fails.
+    With w its smallest eigenvalue and f = noise_floor(A), lambda_min(A) <=
+    lambda_min(A_k) <= w + f (interlacing, then rounding), so 4 lam / (w + f)
+    bounds the threshold from below.  The verdict stands when that bound is
+    positive and reaches rho; None leaves the decision to lambda_min(A).
+    """
+    k = descent_minor(A, cfg.lam, cfg.rho)
+    if k == 0:
+        return None
+    top = leading_eigenvalue(A, k) + noise_floor(A)
+    if not 0 < cfg.rho * top <= 4.0 * cfg.lam:
+        return None
+    return RhoCondition("NOT satisfied", threshold=4.0 * cfg.lam / top, minor=k)
+
 
 def rho_condition(A: GramMatrix, cfg: AdmmConfig) -> RhoCondition:
     """Decide rho > 4 lam / lambda_min(A) under ``cfg.enforce_rho_condition``.
 
-    The one reader of that policy; computes lambda_min at most once.  "off"
+    The one reader of that policy.  One Cholesky factorization of
+    rho A - 4 lam I, shifted by the noise floor, comes first: when it stops
+    at a leading minor that shows the condition failing, the verdict is
+    "NOT satisfied" with a lower bound on the threshold, and lambda_min(A)
+    is never computed.  Otherwise lambda_min(A) is computed once.  "off"
     computes nothing; "warn" warns once when the condition fails or cannot
     be verified; "error" raises InputError or DefinitenessError instead.
     """
     policy = cfg.enforce_rho_condition
     if policy == "off":
         return RhoCondition("not checked")
-    try:
-        lambda_min = min_eigenvalue(A)
-    except DefinitenessError as exc:
-        if policy == "error":
-            raise
-        warnings.warn(f"could not verify the rho condition: {exc}", RuntimeWarning, stacklevel=2)
-        return RhoCondition("not verifiable", detail=str(exc))
-    threshold = 4.0 * cfg.lam / lambda_min
-    ok = cfg.rho > threshold
-    if not ok and policy == "error":
+    check = _failed_minor(A, cfg)
+    if check is None:
+        try:
+            lambda_min = min_eigenvalue(A)
+        except DefinitenessError as exc:
+            if policy == "error":
+                raise
+            warnings.warn(f"could not verify the rho condition: {exc}", RuntimeWarning,
+                          stacklevel=2)
+            return RhoCondition("not verifiable", detail=str(exc))
+        threshold = 4.0 * cfg.lam / lambda_min
+        check = RhoCondition("satisfied" if cfg.rho > threshold else "NOT satisfied",
+                             lambda_min, threshold)
+    if not check.ok and policy == "error":
         raise InputError(f"rho = {cfg.rho} does not exceed the descent threshold "
-                         f"4*lam/lambda_min = {threshold:#.3g}")
-    if not ok:
-        warnings.warn(f"rho = {cfg.rho} is at or below the descent threshold {threshold:#.3g}; "
+                         f"{check.threshold_text}")
+    if not check.ok:
+        where = ("below the descent threshold, which is at least" if check.minor
+                 else "at or below the descent threshold")
+        warnings.warn(f"rho = {cfg.rho} is {where} {check.threshold:#.3g}; "
                       "monotone descent is not guaranteed", RuntimeWarning, stacklevel=2)
-    return RhoCondition("satisfied" if ok else "NOT satisfied", lambda_min, threshold)
+    return check
 
 
 @dataclass

@@ -27,7 +27,15 @@ from splitsvm.admm import (
 )
 from splitsvm.data import generate_synthetic
 from splitsvm.errors import DefinitenessError, InputError
-from splitsvm.kernels import LOWER, GramMatrix, KernelSpec, gram
+from splitsvm.kernels import (
+    LOWER,
+    GramMatrix,
+    KernelSpec,
+    descent_minor,
+    gram,
+    min_eigenvalue,
+    noise_floor,
+)
 from splitsvm.losses import HINGE, PL2, RAMP, TLOG, margin_value
 from splitsvm.model import DESCENT_SLACK, RhoCondition, rho_condition, train_multistart
 
@@ -372,13 +380,20 @@ def test_descent_monitor_skips_the_record_a_start_diverged_at(separated_instance
 
 
 def test_rho_policy_warn_below_threshold(separated_instance):
+    # The unit diagonal fails rho A - 4 lam I at the first minor, so the
+    # verdict needs no lambda_min(A): its threshold is the bound
+    # 4 lam / (lambda_min(A_1) + f) with A_1 = [1].
     _, _, A = separated_instance
     cfg = AdmmConfig(lam=0.5, rho=1.0)
     with pytest.warns(RuntimeWarning, match="descent threshold") as caught:
         check = rho_condition(A, cfg)
-    assert len(caught) == 1
+    assert [str(w.message) for w in caught] == [
+        "rho = 1.0 is below the descent threshold, which is at least 2.00; "
+        "monotone descent is not guaranteed"]
     assert check.status == "NOT satisfied" and not check.ok
-    assert check.threshold == 4.0 * cfg.lam / check.lambda_min
+    assert check.lambda_min is None and check.minor == 1
+    assert check.threshold == 4.0 * cfg.lam / (1.0 + noise_floor(A))
+    assert cfg.rho <= check.threshold <= 4.0 * cfg.lam / min_eigenvalue(A)
 
 
 def test_rho_policy_error_below_threshold(separated_instance):
@@ -398,12 +413,87 @@ def test_rho_policy_off_is_silent(separated_instance):
 
 
 def test_rho_policy_unverifiable_matrix():
+    # The singular ones(3, 3) fails the condition at its first minor: a
+    # definite "NOT satisfied".  Where 4 lam / rho lies below the noise floor
+    # no minor can show that, and lambda_min(A) cannot be certified; nor can
+    # a minor whose own eigenvalue is negative bound the threshold.
     singular = GramMatrix(np.ones((3, 3)))
-    with pytest.warns(RuntimeWarning, match="could not verify"):
+    with pytest.warns(RuntimeWarning, match="which is at least 2.00"):
         check = rho_condition(singular, AdmmConfig(lam=0.5, rho=1.0))
+    assert check.status == "NOT satisfied" and check.minor == 1
+    with pytest.raises(InputError, match="descent threshold 4\\*lam/lambda_min >= 2.00$"):
+        rho_condition(singular, AdmmConfig(lam=0.5, rho=1.0, enforce_rho_condition="error"))
+    lam = 1e-17
+    assert 4.0 * lam < noise_floor(singular)
+    with pytest.warns(RuntimeWarning, match="could not verify"):
+        check = rho_condition(singular, AdmmConfig(lam=lam, rho=1.0))
     assert check.status == "not verifiable" and "not positive definite" in check.detail
     with pytest.raises(DefinitenessError):
-        rho_condition(singular, AdmmConfig(lam=0.5, rho=1.0, enforce_rho_condition="error"))
+        rho_condition(singular, AdmmConfig(lam=lam, rho=1.0, enforce_rho_condition="error"))
+    indefinite = GramMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+    assert descent_minor(indefinite, 0.1, 1.0) == 2
+    with pytest.warns(RuntimeWarning, match="could not verify"):
+        check = rho_condition(indefinite, AdmmConfig(lam=0.1, rho=1.0))
+    assert check.status == "not verifiable" and "not positive definite" in check.detail
+
+
+def known_spectrum(smallest, n=40, seed=5):
+    """Q diag(d) Q^T, d running evenly from ``smallest`` to 1, for a seeded
+    orthogonal Q: a matrix whose lambda_min is known."""
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    m = (q * np.linspace(smallest, 1.0, n)) @ q.T
+    return GramMatrix((m + m.T) / 2.0)
+
+
+def checked_rho_condition(A, lam, rho):
+    """rho_condition's verdict and the texts of the warnings it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        check = rho_condition(A, AdmmConfig(lam=lam, rho=rho))
+    return check, [str(w.message) for w in caught]
+
+
+# lambda_min(A) = 4 lam / rho + margin * f, with f = noise_floor(A).
+LAM, RHO = 0.05, 1.0
+MARGINS = [-1e13, -1e9, -1e3, -10.0, -2.0, -0.5, 0.5, 2.0, 10.0, 1e3, 1e9, 1e13]
+
+
+@pytest.mark.parametrize("seed", [5, 6, 7])
+@pytest.mark.parametrize("margin", MARGINS)
+def test_rho_condition_on_a_known_spectrum(margin, seed):
+    t = 4.0 * LAM / RHO
+    f = noise_floor(known_spectrum(t, seed=seed))
+    A = known_spectrum(t + margin * f, seed=seed)
+    check, warned = checked_rho_condition(A, LAM, RHO)
+    exact = 4.0 * LAM / min_eigenvalue(A)
+    if margin > 1.0:  # clears the threshold by more than f
+        assert check.status == "satisfied" and not warned
+    if margin < -1.0:
+        assert check.status == "NOT satisfied"
+    if margin <= -1e3:
+        assert check.minor > 0  # a Cholesky decided it, with no lambda_min(A)
+    if check.minor:
+        assert check.status == "NOT satisfied" and check.lambda_min is None
+        assert RHO <= check.threshold <= exact
+        assert warned == [f"rho = {RHO} is below the descent threshold, which is at least "
+                          f"{check.threshold:#.3g}; monotone descent is not guaranteed"]
+    else:
+        assert check.threshold == exact
+        assert len(warned) == (not check.ok)
+
+
+def test_rho_condition_near_duplicate_points_not_satisfied():
+    # The points of test_min_eigenvalue_near_duplicate_points_not_certified:
+    # lambda_min(A) cannot be certified, but a minor shows the condition
+    # failing at every rho below 4 lam / f.
+    pts = np.array([[0.0, 0.0], [1e-9, 0.0], [5.0, 5.0]])
+    A = gram(KernelSpec("gaussian", 1.0), pts)
+    with pytest.raises(DefinitenessError):
+        min_eigenvalue(A)
+    for lam, rho in ((0.5, 1.0), (0.1, 1.0), (0.1, 100.0)):
+        check, warned = checked_rho_condition(A, lam, rho)
+        assert check.status == "NOT satisfied" and check.minor in (1, 2)
+        assert check.threshold >= rho and len(warned) == 1
 
 
 def test_unknown_eigenvalue_skips_policy(separated_instance):

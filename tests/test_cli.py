@@ -165,18 +165,28 @@ def test_train_reports_rho_condition(tmp_path, capsys, data_files):
 
 
 def test_train_computes_lambda_min_once(tmp_path, capsys, data_files, monkeypatch):
+    # A condition that fails at a leading minor is decided by one Cholesky
+    # and computes no lambda_min(A); one that factors computes it once.
     import splitsvm.model as model_mod
 
     calls = []
-    real = model_mod.min_eigenvalue
-    monkeypatch.setattr(model_mod, "min_eigenvalue", lambda A: calls.append(1) or real(A))
+    for name in ("min_eigenvalue", "descent_minor"):
+        real = getattr(model_mod, name)
+        monkeypatch.setattr(model_mod, name,
+                            lambda *args, _real=real, _name=name: calls.append(_name)
+                            or _real(*args))
     train, _ = data_files
     with pytest.warns(RuntimeWarning) as caught:
         code = main(train_args(train, tmp_path / "model.txt", "--rho", "0.01"))
     assert code == 0
-    assert len(calls) == 1
+    assert calls == ["descent_minor"]
     assert len(caught) == 1 and "descent threshold" in str(caught[0].message)
     assert "(NOT satisfied)" in capsys.readouterr().out
+    calls.clear()
+    code = main(train_args(train, tmp_path / "model.txt", "--rho", "100", "--max-iter", "5"))
+    assert code == 0
+    assert calls == ["descent_minor", "min_eigenvalue"]
+    assert "(satisfied)" in capsys.readouterr().out
 
 
 def test_rho_threshold_is_printed_to_three_digits(tmp_path, capsys, data_files, monkeypatch):
@@ -185,21 +195,37 @@ def test_rho_threshold_is_printed_to_three_digits(tmp_path, capsys, data_files, 
     import splitsvm.model as model_mod
 
     train, _ = data_files
-    w = 4.0 * 0.5 / 6.99674e9  # lam = 0.5 in train_args
-    lines, warned, errors = [], [], []
-    for estimate in (w, w * (1.0 + 3e-5)):
-        monkeypatch.setattr(model_mod, "min_eigenvalue", lambda A, w=estimate: w)
+
+    def rho_texts():
+        """The rho condition line, the warnings and the --check-rho error text."""
         with pytest.warns(RuntimeWarning, match="descent threshold") as caught:
             assert main(train_args(train, tmp_path / "model.txt", "--max-iter", "1")) == 0
         out = capsys.readouterr().out
-        lines += [line for line in out.splitlines() if line.startswith("rho condition:")]
-        warned += [str(warning.message) for warning in caught]
+        line, = [line for line in out.splitlines() if line.startswith("rho condition:")]
         assert main(train_args(train, tmp_path / "model.txt", "--check-rho", "error")) == 1
-        errors.append(capsys.readouterr().err)
-    assert lines == ["rho condition: rho = 5 vs threshold "
-                     "4*lam/lambda_min = 7.00e+09 (NOT satisfied)"] * 2
-    assert len(warned) == 2 and warned[0] == warned[1] and "7.00e+09" in warned[0]
-    assert errors[0] == errors[1] and "7.00e+09" in errors[0]
+        return line, [str(warning.message) for warning in caught], capsys.readouterr().err
+
+    # The condition fails at a leading minor: a lower bound on the threshold.
+    line, warned, error = rho_texts()
+    assert line == "rho condition: rho = 5 vs threshold 4*lam/lambda_min >= 18.1 (NOT satisfied)"
+    assert warned == ["rho = 5.0 is below the descent threshold, which is at least 18.1; "
+                      "monotone descent is not guaranteed"]
+    assert error == ("error: rho = 5.0 does not exceed the descent threshold "
+                     "4*lam/lambda_min >= 18.1\n")
+
+    # A matrix that factors leaves the threshold to lambda_min(A).
+    monkeypatch.setattr(model_mod, "descent_minor", lambda A, lam, rho: 0)
+    w = 4.0 * 0.5 / 6.99674e9  # lam = 0.5 in train_args
+    texts = []
+    for estimate in (w, w * (1.0 + 3e-5)):
+        monkeypatch.setattr(model_mod, "min_eigenvalue", lambda A, w=estimate: w)
+        texts.append(rho_texts())
+    assert texts[0] == texts[1]
+    line, warned, error = texts[0]
+    assert line == ("rho condition: rho = 5 vs threshold "
+                    "4*lam/lambda_min = 7.00e+09 (NOT satisfied)")
+    assert len(warned) == 1 and "7.00e+09" in warned[0]
+    assert "7.00e+09" in error
 
 
 def test_train_deterministic_model_bytes(tmp_path, data_files):

@@ -10,8 +10,11 @@ from splitsvm.kernels import (
     GramMatrix,
     KernelSpec,
     cross_gram,
+    descent_minor,
     gram,
+    leading_eigenvalue,
     min_eigenvalue,
+    noise_floor,
 )
 
 
@@ -208,4 +211,42 @@ def test_min_eigenvalue_jittered_duplicates():
     shift = 1e-8
     A = GramMatrix(np.ones((2, 2)) + shift * np.eye(2))
     assert min_eigenvalue(A) == pytest.approx(shift, rel=1e-6)
+
+
+def test_noise_floor_reads_the_largest_magnitude():
+    A = GramMatrix(np.array([[1.0, -3.0], [-3.0, 2.0]]))
+    assert noise_floor(A) == 2 * np.finfo(float).eps * 3.0
+
+
+def test_leading_eigenvalue_of_each_minor(separated_instance):
+    _, _, A = separated_instance
+    for k in range(1, A.size + 1):
+        dense = np.linalg.eigvalsh(A.entries[:k, :k])[0]
+        assert leading_eigenvalue(A, k) == pytest.approx(dense, rel=1e-12)
+    assert leading_eigenvalue(A, A.size) == min_eigenvalue(A)
+
+
+@pytest.mark.parametrize("lam,rho,expected", [
+    (0.05, 1.0, 0),   # 4 lam / rho = 0.2, below every entry
+    (0.2, 1.0, 3),    # 0.8: the third entry, 0.5, fails first
+    (0.5, 1.0, 1),    # 2: the first entry, 1.5, fails
+    (0.5, 3.5, 3),    # 0.571
+    (0.1, 4.0, 0),    # 0.1
+])
+def test_descent_minor_is_the_first_failing_minor(lam, rho, expected):
+    # rho A - 4 lam I is positive definite exactly when rho d_i > 4 lam for
+    # every diagonal entry d_i of a diagonal A.
+    d = np.diag([1.5, 3.0, 0.5, 2.0])
+    A = GramMatrix(d)
+    assert descent_minor(A, lam, rho) == expected
+    assert np.array_equal(A.entries, d)  # it factors a copy
+
+
+def test_descent_minor_leaves_the_noise_floor_to_the_eigenvalue():
+    # lambda_min = 4 lam / rho exactly: the shift by rho f makes the matrix
+    # factor, and 1e-17 below it as well.
+    for below in (0.0, 1e-17):
+        A = GramMatrix(np.diag([1.0, 0.4 - below]))
+        assert descent_minor(A, 0.1, 1.0) == 0
+    assert descent_minor(GramMatrix(np.diag([1.0, 0.4 - 1e-6])), 0.1, 1.0) == 2
 

@@ -319,17 +319,28 @@ def test_multistart_never_selects_a_diverged_start(small_split, monkeypatch):
 
 
 def test_multistart_checks_rho_once(small_split, monkeypatch):
+    # One Cholesky per run; lambda_min(A) only when the condition is not
+    # already shown to fail at a leading minor.
     import splitsvm.model as model_mod
 
     calls = []
-    real = model_mod.min_eigenvalue
-    monkeypatch.setattr(model_mod, "min_eigenvalue", lambda A: calls.append(1) or real(A))
+    for name in ("min_eigenvalue", "descent_minor"):
+        real = getattr(model_mod, name)
+        monkeypatch.setattr(model_mod, name,
+                            lambda *args, _real=real, _name=name: calls.append(_name)
+                            or _real(*args))
     train, _ = small_split
     cfg = AdmmConfig(lam=0.5, rho=1.0, max_iter=20)
     with pytest.warns(RuntimeWarning, match="descent threshold") as caught:
         train_multistart(train, KernelSpec("gaussian", 1.0), HINGE, cfg, starts=3, seed=0)
-    assert len(calls) == 1
+    assert calls == ["descent_minor"]
     assert len([w for w in caught if "descent threshold" in str(w.message)]) == 1
+    calls.clear()
+    cfg = AdmmConfig(lam=0.5, rho=100.0, max_iter=20)
+    _, summaries = train_multistart(train, KernelSpec("gaussian", 1.0), HINGE, cfg,
+                                    starts=3, seed=0)
+    assert calls == ["descent_minor", "min_eigenvalue"]
+    assert len(summaries) == 3
 
 
 def test_multistart_factors_once(small_split, monkeypatch):
