@@ -41,8 +41,10 @@ Fortran-ordered.
 admm_run iterates all its starts together as one block: alpha, c and the
 carried A c are Fortran-ordered N x S arrays, one start per column.  The
 elementwise work (the prox, the c-update arithmetic, the A c identity, the
-losses) runs once per iteration on the whole block, and each column's risk
-is a pairwise sum along that contiguous column, as for a single vector.
+losses) runs once per iteration on the whole block.  The risks F(alpha)
+and F(A c) of every column come from one _risk call on the columns of
+alpha and of A c side by side, a Fortran-ordered N x 2S block; each is a
+pairwise sum along its own contiguous column, as for a single vector.
 The BLAS calls stay per column: the symv with M^-1 of each c-solve, the
 symv of a stop check and the dot products of the diagnostics, each on a
 contiguous column.  A start's iterates and trace are therefore bit for bit
@@ -358,8 +360,10 @@ def admm_run(loss: MarginLoss, labels, A: GramMatrix, cfg: AdmmConfig, inits,
         prev, st = st, admm_step(loss, y, cfg, st, inverse)
         k = st.k
         res = st.alpha - st.ac
-        risk_alpha = _risk(loss, y, st.alpha)
-        risk_ac = _risk(loss, y, st.ac)
+        # F(alpha) and F(A c) in one pass, on their columns side by side in
+        # a Fortran-ordered N x 2S block.
+        risks = _risk(loss, y, np.concatenate((st.alpha.T, st.ac.T)).T)
+        risk_alpha, risk_ac = risks[:len(starts)], risks[len(starts):]
         gamma = 2.0 * cfg.lam * st.c
         columns = zip(st.alpha.T, st.c.T, st.ac.T, res.T, gamma.T, (st.c - prev.c).T,
                       (st.ac - prev.ac).T)

@@ -11,7 +11,6 @@ optional header row is auto-detected (any non-numeric cell).
 """
 
 import csv
-import math
 from dataclasses import dataclass
 from itertools import chain
 
@@ -69,17 +68,43 @@ def generate_synthetic(n_train: int, n_test: int, seed: int):
     return draw(n_train), draw(n_test)
 
 
-def _data_cells(rows, width, labeled):
-    """The cells of the rows, with each label as its number; ValueError on a
-    row of another width, KeyError on a label that is not one."""
+def _data_cells(path, reader, rows, width, labeled, faults):
+    """The cells of the rows, with each label as its number, in one pass.
+
+    A row's line is the reader's line count after it, the line it ends on,
+    since a quoted cell may span lines.  A ragged row raises ParseError.
+    The first row with a label that is not one, else a cell that is not a
+    number, else a feature that is not finite, puts its message in
+    ``faults``; past it the rows are only checked for their width.
+    """
     for row in rows:
         if len(row) != width:
-            raise ValueError(f"{len(row)} fields, expected {width}")
+            raise ParseError(f"{path}: line {reader.line_num} has {len(row)} fields, "
+                             f"expected {width}")
+        if faults:
+            continue
         if labeled:
-            yield from row[:-1]
-            yield _LABELS[row[-1].strip()]
-        else:
-            yield from row
+            raw_label = row[-1].strip()
+            if raw_label not in _LABELS:
+                faults.append(f"line {reader.line_num}: label must be '1', '+1' or '-1', "
+                              f"got {raw_label!r}")
+                continue
+            row = row[:-1]
+        finite = True
+        try:
+            for cell in row:
+                x = float(cell)
+                if x - x:  # NaN for an infinite or NaN x, else 0
+                    finite = False
+                yield x
+        except ValueError:
+            faults.append(f"line {reader.line_num}: field {row.index(cell) + 1} "
+                          f"is not a number: {cell!r}")
+            continue
+        if not finite:
+            faults.append(f"line {reader.line_num}: features must be finite")
+        if labeled:
+            yield _LABELS[raw_label]
 
 
 def _read_cells(path, labeled):
@@ -88,99 +113,41 @@ def _read_cells(path, labeled):
     Each cell goes through float() as csv.reader yields it, with no list of
     rows in between; a blank line reads as an empty row and is skipped, and
     a first row with a cell that is not a number is a header.  A label cell
-    reads as +1 or -1.  None when the file has no data rows, fewer than two
-    columns when ``labeled``, a ragged row, a cell that is not a number or a
-    label that is not one.
+    reads as +1 or -1.  ParseError names the first fault, from that one
+    pass, so a pipe reads as a file does: an empty file or one with only a
+    header, then a ragged row anywhere, then too few columns for a label
+    when ``labeled``, then the first bad row (see _data_cells).
     """
-    with open_text(path) as fh:
-        rows = filter(None, csv.reader(fh))
-        first = next(rows, None)
-        if first is not None and float_cells([first], 1, len(first)) is None:
-            first = next(rows, None)  # header
-        if first is None or len(first) < 1 + labeled:
-            return None
-        try:
-            cells = np.fromiter(map(float, _data_cells(chain([first], rows), len(first), labeled)),
-                                float)
-        except (ValueError, KeyError):
-            return None
-    return cells.reshape(-1, len(first))
-
-
-def _data_rows(path):
-    """The nonempty rows of a CSV file after any header, their file line
-    numbers and their common width, as lists; only for naming a fault.
-
-    A row's line number is the reader's line count after it, the line it
-    ends on, since a quoted cell may span lines.  ParseError on an empty
-    file or a ragged row.
-    """
-    rows, lines = [], []
     with open_text(path) as fh:
         reader = csv.reader(fh)
-        for row in reader:
-            if row:
-                rows.append(row)
-                lines.append(reader.line_num)
-    if not rows:
-        raise ParseError(f"{path}: file contains no data")
-    if float_cells(rows[:1], 1, len(rows[0])) is None:
-        rows, lines = rows[1:], lines[1:]  # header
-        if not rows:
-            raise ParseError(f"{path}: file contains a header but no data")
-    width = len(rows[0])
-    if len(set(map(len, rows))) > 1:
-        ln, row = next((ln, row) for ln, row in zip(lines, rows) if len(row) != width)
-        raise ParseError(f"{path}: line {ln} has {len(row)} fields, expected {width}")
-    return rows, lines, width
-
-
-def _first_fault(path, labeled):
-    """The ParseError of the first fault of a file that _read_cells rejected
-    or found a non-finite feature in, reading it again row by row.
-
-    _data_rows raises for an empty file, a file with only a header and a
-    ragged row.  Otherwise the first bad row is named: its label when
-    ``labeled``, then its first cell that is not a number, then a feature
-    that is not finite.
-    """
-    rows, lines, width = _data_rows(path)
-    if labeled and width < 2:
-        return ParseError(f"{path}: need at least one feature column and a label column")
-    for ln, row in zip(lines, rows):
-        if labeled:
-            raw_label = row[-1].strip()
-            if raw_label not in _LABELS:
-                return ParseError(
-                    f"{path}: line {ln}: label must be '1', '+1' or '-1', got {raw_label!r}"
-                )
-            row = row[:-1]
-        for j, cell in enumerate(row):
-            try:
-                float(cell)
-            except ValueError:
-                return ParseError(f"{path}: line {ln}: field {j + 1} is not a number: {cell!r}")
-        if not all(math.isfinite(float(cell)) for cell in row):
-            return ParseError(f"{path}: line {ln}: features must be finite")
+        rows = filter(None, reader)
+        first = next(rows, None)
+        if first is None:
+            raise ParseError(f"{path}: file contains no data")
+        if float_cells([first], 1, len(first)) is None:  # header
+            first = next(rows, None)
+            if first is None:
+                raise ParseError(f"{path}: file contains a header but no data")
+        width, faults = len(first), []
+        cells = np.fromiter(_data_cells(path, reader, chain([first], rows), width, labeled,
+                                        faults), float)
+    if width < 1 + labeled:
+        raise ParseError(f"{path}: need at least one feature column and a label column")
+    if faults:
+        raise ParseError(f"{path}: {faults[0]}")
+    return cells.reshape(-1, width)
 
 
 def load_csv(path: str) -> Dataset:
-    """Read a labeled dataset (features..., label) in one pass over the file;
-    on a fault, _first_fault reads it again to name the first bad line."""
+    """Read a labeled dataset (features..., label) in one pass over the file."""
     cells = _read_cells(path, labeled=True)
-    if cells is None or not np.all(np.isfinite(cells)):
-        raise _first_fault(path, labeled=True)
     return Dataset(cells[:, :-1].copy(), cells[:, -1].copy())
 
 
 def load_features_csv(path: str) -> np.ndarray:
     """Read an unlabeled feature matrix (used by prediction) in one pass over
-    the file; on a fault, _first_fault reads it again to name the first bad
-    line."""
-    feats = _read_cells(path, labeled=False)
-    if feats is None or not np.all(np.isfinite(feats)):
-        raise _first_fault(path, labeled=False)
-    return feats
+    the file."""
+    return _read_cells(path, labeled=False)
 
 
 #: Cells of a labeled CSV that are formatted into text and written at a time.

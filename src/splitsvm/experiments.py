@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .admm import AdmmConfig, AdmmRunResult, admm_run, initial_state
+from .admm import AdmmConfig, AdmmRunResult, admm_run, c_inverse, initial_state
 from .data import Dataset, generate_synthetic
 from .errors import DefinitenessError, InputError
 from .kernels import GramMatrix, KernelSpec, gram
@@ -72,11 +72,12 @@ class TableRow:
     seconds: float
 
 
-def _table_row(train, test, spec, loss, cfg, starts, seed, gram_matrix=None) -> TableRow:
+def _table_row(train, test, spec, loss, cfg, starts, seed, gram_matrix=None,
+               inverse=None) -> TableRow:
     """Train one multistart model, timing the training, and score both splits."""
     t0 = time.perf_counter()
     model, summaries = train_multistart(
-        train, spec, loss, cfg, starts, seed, gram_matrix=gram_matrix
+        train, spec, loss, cfg, starts, seed, gram_matrix=gram_matrix, inverse=inverse
     )
     seconds = time.perf_counter() - t0
     chosen = summaries[model.meta.start_index]
@@ -104,8 +105,10 @@ def loss_kernel_table(seed: int, starts: int = 20, max_iter: int = 10000):
     for family, sigma in (("gaussian", 2.0), ("matern1", 1.0)):
         spec = KernelSpec(family, sigma)
         A = gram(spec, train.X)
+        inverse = c_inverse(A, cfg)  # one per kernel, shared by its four losses
         for loss_name in LOSS_ORDER:
-            rows.append(_table_row(train, test, spec, get_loss(loss_name), cfg, starts, seed, A))
+            rows.append(_table_row(train, test, spec, get_loss(loss_name), cfg, starts, seed, A,
+                                   inverse))
     return rows
 
 

@@ -19,13 +19,21 @@ h = 1 / (rho * n)) the global minimizer is one of a few candidates: the
 stationary point of each piece clipped to that piece, and the breakpoints.
 An affine piece with slope s has its stationary point at z = v - s h; the
 logarithmic piece has the real roots of z^2 - (2 + v) z + 2 v + h = 0.
-Each loss solves its subproblem in closed form over these candidates:
-hinge, and ramp for h < 2, collapse to branch tables; tlog, and pl2 and
-ramp for h >= 2 through one table for affine pieces, score every candidate
-with a fixed array expression and keep the best.  The tables assume finite
-margins: prox_vector alone makes an infinite anchor its own minimizer.
-The tests check every table against an enumerator over the pieces
-(``tests/_oracles.py``).
+Each loss solves its subproblem in closed form over these candidates.
+hinge and ramp (for h < 2) are branch tables: the minimizer is one
+expression in v per interval.  pl2 and tlog are branch tables too, for
+h <= 1/4 and rho in about [6.4e-11, 4e12], with a band rule.  Their
+scorers write every candidate's objective in the order of operations of
+the tests' enumerator and keep the best, but run only on the anchors
+within sqrt(4 TIE_TOL / rho) of an interval edge (for tlog, of
+[1 - 2h, 1], and below -1e150) and on NaN anchors.  Elsewhere the winner
+of the table leads every other candidate by at least twice TIE_TOL, so
+the table gives the scorer's bits without evaluating a log.  Where the
+tables are not derived, pl2 and tlog score every anchor, and ramp for
+h >= 2 scores through the same affine-piece scorer as pl2.  The tables
+assume finite margins: prox_vector alone makes an infinite anchor its own
+minimizer.  The tests check every table against an enumerator over the
+pieces (``tests/_oracles.py``).
 
 Ties within TIE_TOL of the minimal objective resolve to the smallest
 minimizer a (the hinge and ramp branch tables keep their own boundaries on
@@ -33,6 +41,7 @@ near-ties; see prox_vector).  A NaN anchor gives a NaN minimizer and a NaN
 margin gives a NaN loss.
 """
 
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import reduce
@@ -90,11 +99,11 @@ def _affine_prox(a_neg, s_neg, a_mid, s_mid):
     return prox
 
 
-_pl2_prox = _affine_prox(2.0, 1.0, 2.0, 2.0)
+_pl2_scored = _affine_prox(2.0, 1.0, 2.0, 2.0)
 _ramp_wide_prox = _affine_prox(1.0, 0.0, 1.0, 1.0)
 
 
-def _tlog_prox(y, v, h, rho, n):
+def _tlog_scored(y, v, h, rho, n):
     # The candidates: both clipped roots of the log piece (1 when there is
     # no real root), the flat piece, the breakpoint 1.
     c = 0.5 * rho
@@ -112,6 +121,63 @@ def _tlog_prox(y, v, h, rho, n):
         c * (1.0 - v) ** 2,
     )
     return _smallest_tied(y, (z_small, z_large, z_flat, 1.0), vals)
+
+
+#: The objective lead below which the pl2 and tlog tables hand an anchor to
+#: their scorer: twice TIE_TOL, so that the scorer's rounding (under 1e-14
+#: near the band edges, where rho h^2 = h / n <= 1/4) cannot make a lead a tie.
+_BAND_TOL = 2.0 * TIE_TOL
+
+
+def _band_width(h, rho):
+    """The half-width sqrt(2 _BAND_TOL / rho) of the bands in which the pl2
+    and tlog tables rescore: each table's winner leads every other candidate
+    by at least (rho / 2) d^2 at a distance d from the nearest band edge.
+    None where the tables are not derived: h > 1/4, or a width outside
+    [1e-12, 1/4] (rho outside about [6.4e-11, 4e12]), where the leads away
+    from the edges, or the rounding of the edges, would need bands too."""
+    width = math.sqrt(2.0 * _BAND_TOL / rho)
+    return width if h <= 0.25 and 1e-12 <= width <= 0.25 else None
+
+
+def _rescored(scored, y, v, h, rho, n, z, near):
+    """y z, with the anchors flagged ``near`` (NaN ones among them) solved by
+    ``scored`` instead."""
+    out = np.asarray(y * z)
+    if near.any():
+        out[near] = scored(np.broadcast_to(y, v.shape)[near], v[near], h, rho, n)
+    return out
+
+
+def _pl2_prox(y, v, h, rho, n):
+    # The minimizer is v + h below -3h/2, v + 2h below 1 - 2h, 1 below 1 and
+    # v from there on.  At -3h/2 the sloped pieces' stationary points lead
+    # each other by |v + 3h/2| / n, at least 2 rho d^2 where both lie on
+    # their pieces (d < h/2), and the candidate 0 by (rho / 2)(v + h)^2 or
+    # (rho / 2)(v + 2h)^2; at 1 - 2h and 1 a candidate meets the margin 1,
+    # and the lead is (rho / 2) d^2.
+    width = _band_width(h, rho)
+    if width is None:
+        return _pl2_scored(y, v, h, rho, n)
+    z = np.where(v < -1.5 * h, v + h, np.where(v < 1.0 - 2.0 * h, v + 2.0 * h, np.maximum(v, 1.0)))
+    far = ((np.abs(v + 1.5 * h) >= width) & (np.abs(v - (1.0 - 2.0 * h)) >= width)
+           & (np.abs(v - 1.0) >= width))
+    return _rescored(_pl2_scored, y, v, h, rho, n, z, ~far)
+
+
+def _tlog_prox(y, v, h, rho, n):
+    # Below 1 - 2h the small root leads the margin 1 by at least
+    # rho (1 - v)((1 - v) / 2 - h), as log(2 - v) <= 1 - v; from 1 on the
+    # flat piece leads it by (rho / 2)(v - 1)^2.  The large root, a local
+    # maximum, is clipped to 1 for h <= 1/4.  Below -1e150 (2 - v)^2
+    # overflows, and the scorer's objectives are all infinite.
+    width = _band_width(h, rho)
+    if width is None:
+        return _tlog_scored(y, v, h, rho, n)
+    small = (v > -1e150) & (v < 1.0 - 2.0 * h - width)
+    root = np.sqrt(np.maximum((2.0 - v) ** 2 - 4.0 * h, 0.0))
+    z = np.where(small, 0.5 * ((2.0 + v) - root), v)
+    return _rescored(_tlog_scored, y, v, h, rho, n, z, ~(small | (v >= 1.0 + width)))
 
 
 def _ramp_prox(y, v, h, rho, n):
@@ -168,7 +234,8 @@ def prox_vector(loss, rho, n, labels, anchors) -> np.ndarray:
 
     ``labels`` and ``anchors`` are broadcast-compatible arrays; the result
     has their common shape.  The pl2, tlog and wide (h >= 2) ramp tables
-    follow the TIE_TOL smallest-minimizer rule exactly.  The hinge and ramp
+    follow the TIE_TOL smallest-minimizer rule exactly, the pl2 and tlog
+    ones by scoring the anchors in their bands.  The hinge and ramp
     branch tables follow it too, except on anchors whose candidates are
     within TIE_TOL of a tie without being equal, where they keep their own
     branch's minimizer, whose objective is within TIE_TOL of the smallest

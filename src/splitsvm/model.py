@@ -217,21 +217,24 @@ def train_multistart(
     seed: int,
     *,
     gram_matrix: GramMatrix | None = None,
+    inverse: np.ndarray | None = None,
     rho_check: RhoCondition | None = None,
 ):
     """Run ``starts`` seeded ADMM starts; keep the lowest final objective.
 
     Start s draws its initial point from a generator seeded with seed + s.
-    All starts share one inverse of 2 lam I + rho A, built before the first
-    start; DefinitenessError is raised when it cannot be built.  The starts
-    then run together as one admm_run block, and each start's result is
-    bit for bit the one it gets alone, whatever ``starts`` is.  Ties in
-    the final objective resolve to the lowest start index; a start that
-    failed or diverged is never selected.  ``rho_check`` is the verdict
-    of rho_condition when the caller already has it; None computes it.
-    When it is "satisfied", each start's finished trace is checked for
-    descent: each Lagrangian rise above DESCENT_SLACK warns, start by start,
-    except at the record a start diverged at.  Returns (TrainedModel,
+    All starts share one inverse of 2 lam I + rho A: ``inverse``, which
+    must be c_inverse(A, cfg) for this kernel matrix and cfg, or else one
+    built before the first start; DefinitenessError is raised when it
+    cannot be built.  The starts then run together as one admm_run block,
+    and each start's result is bit for bit the one it gets alone, whatever
+    ``starts`` is.  Ties in the final objective resolve to the lowest start
+    index; a start that failed or diverged is never selected.
+    ``rho_check`` is the verdict of rho_condition when the caller already
+    has it; None computes it.  When it is "satisfied", each start's
+    finished trace is checked for descent: each Lagrangian rise above
+    DESCENT_SLACK warns, start by start, except at the record a start
+    diverged at.  Returns (TrainedModel,
     [StartSummary...]); only the chosen start's summary keeps its trace,
     and the model metadata records which start won.
     """
@@ -245,7 +248,10 @@ def train_multistart(
         raise InputError("kernel matrix size does not match the dataset")
     if rho_check is None:
         rho_check = rho_condition(A, cfg)
-    inverse = c_inverse(A, cfg)
+    if inverse is None:
+        inverse = c_inverse(A, cfg)
+    elif np.shape(inverse) != (A.size, A.size):
+        raise InputError("inverse does not match the kernel matrix size")
     inits = [initial_state(A, np.random.default_rng(seed + s)) for s in range(starts)]
 
     runs = admm_run(loss, data.y, A, cfg, inits, inverse)

@@ -224,6 +224,31 @@ def test_load_csv_reads_a_pipe(bom):
     np.testing.assert_array_equal(ds.y, [1.0, -1.0])
 
 
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+@pytest.mark.parametrize("labeled", [False, True], ids=["load_features_csv", "load_csv"])
+@pytest.mark.parametrize("bad, message", [
+    (["1.0,oops"], "line 3: field 2 is not a number: 'oops'"),
+    (["nan,1.0"], "line 3: features must be finite"),
+    (["1.0,oops", "1.0,2.0", "1.0,2.0,3.0"], "line 5 has {width} fields, expected {expected}"),
+], ids=["not-a-number", "not-finite", "ragged-after-a-bad-row"])
+def test_readers_name_a_fault_read_from_a_pipe(labeled, bad, message):
+    # A pipe can be read only once.  The fault is named from that one pass,
+    # as it is in a file, and the drained pipe is not taken for no data.
+    load, suffix = (load_csv, ",1") if labeled else (load_features_csv, "")
+    rows = ["x1,x2" + (",label" if labeled else ""), "1.0,2.0"] + bad
+    read_end, write_end = os.pipe()
+    os.write(write_end, "".join(row + suffix + "\n" for row in rows).encode())
+    os.close(write_end)
+    path = f"/dev/fd/{read_end}"
+    try:
+        with pytest.raises(ParseError) as exc:
+            load(path)
+    finally:
+        os.close(read_end)
+    message = message.format(width=3 + labeled, expected=2 + labeled)
+    assert str(exc.value) == f"{path}: {message}"
+
+
 # ---------------------------------------------------------------------------
 # whole-file readers and writers against the per-cell references
 # ---------------------------------------------------------------------------

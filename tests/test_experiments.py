@@ -98,6 +98,20 @@ def test_loss_kernel_table_structure_tiny():
         assert not r.converged  # 5 iterations cannot reach eps0 = 1e-12
 
 
+def test_loss_kernel_table_inverts_once_per_kernel(monkeypatch):
+    # The four losses of a kernel share its inverse of 2 lam I + rho A.
+    import splitsvm.experiments as experiments_mod
+    import splitsvm.model as model_mod
+
+    calls = []
+    real = experiments_mod.c_inverse
+    monkeypatch.setattr(experiments_mod, "c_inverse",
+                        lambda A, cfg: calls.append(A.size) or real(A, cfg))
+    monkeypatch.setattr(model_mod, "c_inverse", None)
+    assert len(loss_kernel_table(seed=1, starts=1, max_iter=2)) == 8
+    assert calls == [300, 300]
+
+
 def test_size_scaling_structure_tiny():
     rows = size_scaling_table(seed=2, sizes=(20, 30), starts=1, max_iter=5)
     assert [r.n_train for r in rows] == [20, 30]

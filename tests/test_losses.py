@@ -16,8 +16,12 @@ from _oracles import (
     prox_subproblem,
     random_prox_cases,
 )
-from splitsvm.admm import _risk
+import splitsvm.admm as admm_mod
+import splitsvm.losses as losses_mod
+from splitsvm.admm import AdmmConfig, _risk
+from splitsvm.data import generate_synthetic
 from splitsvm.errors import InputError
+from splitsvm.kernels import KernelSpec
 from splitsvm.losses import (
     HINGE,
     LOSSES,
@@ -29,6 +33,7 @@ from splitsvm.losses import (
     margin_value,
     prox_vector,
 )
+from splitsvm.model import train_multistart
 
 ALL_LOSSES = [HINGE, PL2, TLOG, RAMP]
 
@@ -384,6 +389,77 @@ def test_ramp_wide_prox_matches_oracle(rng):
         out = prox_vector(RAMP, rho, n, labels, anchors)
         ref = prox_enumerated(RAMP, rho, n, labels, anchors)
         np.testing.assert_array_equal(bits(out), bits(ref))
+
+
+def band_edge_margins(rho, n):
+    """Margins at, and at +-{1, 4, 64} ulp and +-{1/2, 1} x {n TIE_TOL,
+    sqrt(2 TIE_TOL / rho)} from, each edge of the pl2 and tlog tables at
+    h = 1/(rho n): -3h/2, 1 - 2h, 1 and the double root of the log piece,
+    2 - 2 sqrt(h).  Half those distances lie inside the tie window."""
+    h = 1.0 / (rho * n)
+    edges = np.array([-1.5 * h, 1.0 - 2.0 * h, 1.0, 2.0 - 2.0 * math.sqrt(h)])
+    steps = [edges]
+    for k in (1, 4, 64):
+        steps += [(edges.view(np.int64) + sign * k).view(float) for sign in (1, -1)]
+    for d in (n * TIE_TOL, math.sqrt(2.0 * TIE_TOL / rho)):
+        steps += [edges + d, edges - d, edges + 0.5 * d, edges - 0.5 * d]
+    return np.concatenate(steps)
+
+
+# (rho, n) with h = 1/(rho n) from 1e-13 to 2: the tables hold up to h = 1/4
+# (rho 4, n 1; rho 0.8, n 5) and hand every anchor to the scorer above it
+# (rho 3.9, n 1: h = 0.256) and for rho above 4e12.  At n = 1e7 the pl2 band
+# at -3h/2 is n TIE_TOL wide, wider than sqrt(2 TIE_TOL / rho).
+TABLE_CELLS = [(5.0, 300), (1.0, 1000), (1.0, 10**7), (1e13, 1), (0.05, 300), (4.0, 1), (0.8, 5),
+               (3.9, 1), (1.0, 3), (0.5, 1)]
+
+
+@pytest.mark.parametrize("rho, n", TABLE_CELLS)
+@pytest.mark.parametrize("loss", [PL2, TLOG], ids=lambda l: l.name)
+def test_tables_match_enumerator_at_band_edges(loss, rho, n):
+    # The branch tables and the scorer they hand band anchors to give the
+    # enumerator's minimizer bit for bit, for both labels, with NaN and
+    # infinite anchors mixed in, and margins whose (2 - v)^2 overflows.
+    def assert_as_enumerated(v):
+        for label in (1.0, -1.0):
+            labels = np.full_like(v, label)
+            fast = prox_vector(loss, rho, n, labels, label * v)
+            slow = prox_enumerated(loss, rho, n, labels, label * v)
+            np.testing.assert_array_equal(bits(fast), bits(slow))
+
+    assert_as_enumerated(np.concatenate([band_edge_margins(rho, n),
+                                         [math.nan, math.inf, -math.inf]]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert_as_enumerated(np.array([-1e300, -2e154, 2e154, 1e300]))
+
+
+def test_band_scorer_sees_few_anchors_on_a_t2_draw(monkeypatch):
+    # The pl2 and tlog tables rescore only anchors in their narrow bands:
+    # on one draw of the t2 protocol their scorers see under 5% of the
+    # anchors, so the tables cannot quietly fall back to scoring them all.
+    seen, scored = dict.fromkeys(("pl2", "tlog"), 0), dict.fromkeys(("pl2", "tlog"), 0)
+    real_prox = admm_mod.prox_vector
+
+    def counted_prox(loss, rho, n, labels, anchors):
+        seen[loss.name] += np.size(anchors)
+        return real_prox(loss, rho, n, labels, anchors)
+
+    def counted(name, scorer):
+        def score(y, v, h, rho, n):
+            scored[name] += v.size
+            return scorer(y, v, h, rho, n)
+        return score
+
+    monkeypatch.setattr(admm_mod, "prox_vector", counted_prox)
+    monkeypatch.setattr(losses_mod, "_pl2_scored", counted("pl2", losses_mod._pl2_scored))
+    monkeypatch.setattr(losses_mod, "_tlog_scored", counted("tlog", losses_mod._tlog_scored))
+    train, _ = generate_synthetic(300, 120, 2)
+    cfg = AdmmConfig(lam=0.5, rho=5.0, enforce_rho_condition="off")
+    for spec in (KernelSpec("gaussian", 2.0), KernelSpec("matern1", 1.0)):
+        for loss in (PL2, TLOG):
+            train_multistart(train, spec, loss, cfg, 2, 2)
+    for name in seen:
+        assert seen[name] > 100_000 and scored[name] < 0.05 * seen[name], (name, seen, scored)
 
 
 # ---------------------------------------------------------------------------

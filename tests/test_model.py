@@ -3,7 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from splitsvm.admm import AdmmConfig, _psd_form, admm_run, initial_state
+from splitsvm.admm import AdmmConfig, _psd_form, admm_run, c_inverse, initial_state
 from splitsvm.data import Dataset, generate_synthetic
 from splitsvm.errors import (
     DefinitenessError,
@@ -204,6 +204,28 @@ def test_multistart_accepts_precomputed_gram(small_split):
     m1, _ = train_multistart(train, spec, HINGE, cfg, starts=2, seed=3)
     m2, _ = train_multistart(train, spec, HINGE, cfg, starts=2, seed=3, gram_matrix=A)
     np.testing.assert_array_equal(m1.coeffs, m2.coeffs)
+
+
+def test_multistart_accepts_a_shared_inverse(small_split, monkeypatch):
+    # A given inverse is used as is, and the run equals the one that builds
+    # its own; one of the wrong size is refused.
+    import splitsvm.model as model_mod
+
+    train, _ = small_split
+    cfg = AdmmConfig(lam=0.5, rho=5.0, eps0=1e-8, max_iter=1000,
+                     enforce_rho_condition="off")
+    spec = KernelSpec("matern1", 1.0)
+    A = gram(spec, train.X)
+    m1, s1 = train_multistart(train, spec, TLOG, cfg, starts=2, seed=3, gram_matrix=A)
+    inverse = c_inverse(A, cfg)
+    monkeypatch.setattr(model_mod, "c_inverse", None)
+    m2, s2 = train_multistart(train, spec, TLOG, cfg, starts=2, seed=3, gram_matrix=A,
+                              inverse=inverse)
+    np.testing.assert_array_equal(m1.coeffs, m2.coeffs)
+    assert [(s.iterations, s.objective) for s in s1] == [(s.iterations, s.objective) for s in s2]
+    with pytest.raises(InputError, match="inverse does not match"):
+        train_multistart(train, spec, TLOG, cfg, starts=1, seed=3, gram_matrix=A,
+                         inverse=np.eye(3))
 
 
 def test_multistart_gram_size_mismatch(small_split):
