@@ -46,23 +46,28 @@ and F(A c) of every column come from one _risk call on the columns of
 alpha and of A c side by side, a Fortran-ordered N x 2S block; each is a
 pairwise sum along its own contiguous column, as for a single vector.
 The BLAS calls stay per column: the symv with M^-1 of each c-solve, the
-symv of a stop check and the dot products of the diagnostics, each on a
-contiguous column.  A start's iterates and trace are therefore bit for bit
-those of the same start run alone, whatever starts share its block.  A
-column retires when its start converges, diverges or fails, and the block
-is compacted to the columns still running; at the cap all remaining
-columns stop together.
+symv of a stop check and the dot products of the checks and diagnostics,
+each on a contiguous column.  A start's iterates and trace are therefore
+bit for bit those of the same start run alone, whatever starts share its
+block.  A column retires when its start converges, diverges or fails, and
+the block is compacted to the columns still running; at the cap all
+remaining columns stop together.
 
 A start stops when ||alpha - A c||_2 < eps0 for the true product.  Each
 iteration is the step, then one loop over the columns for their stop
-checks and diagnostics, then retirement.  A column whose carried residual
-passes has a_dot's A c written into the step's A c, and its record uses
-that product.  A start stops as "converged" when its true residual passes,
+checks, then retirement.  A column whose carried residual passes has
+a_dot's A c written into the step's A c, and its record uses that
+product.  A start stops as "converged" when its true residual passes,
 "diverged" at a non-finite objective or residual, and "failed" when
-d^T A d < 0 for its step d.  admm_run iterates and records, and judges
-nothing about rho: when rho exceeds the threshold 4 lam / lambda_min(A)
-the augmented Lagrangian is guaranteed to decrease every iteration, and
-model.train_multistart checks that on each start's finished trace.
+d^T A d < 0 for its step d.  The diagnostics of a record (the objective,
+the augmented Lagrangian and the step norm) are formed every iteration
+only when the caller reads the trace (admm_run's ``trace``); otherwise a
+start's objective is formed only where a bound cannot show it finite, and
+its record only at its last iteration.  admm_run iterates and records, and
+judges nothing about rho: when rho exceeds the threshold
+4 lam / lambda_min(A) the augmented Lagrangian is guaranteed to decrease
+every iteration, and model.train_multistart checks that on each start's
+finished trace.
 """
 import math
 from array import array
@@ -311,7 +316,7 @@ def _column_state(st: AdmmState, i: int) -> AdmmState:
 
 
 def admm_run(loss: MarginLoss, labels, A: GramMatrix, cfg: AdmmConfig, inits,
-             inverse=None) -> list:
+             inverse=None, *, trace: bool = True) -> list:
     """Iterate every start in ``inits`` until ||alpha - A c|| < eps0 or the cap.
 
     The starts run as one block, one per column (see the module docstring),
@@ -324,6 +329,13 @@ def admm_run(loss: MarginLoss, labels, A: GramMatrix, cfg: AdmmConfig, inits,
     passes eps0 before the iteration's record is computed.  The trace's
     objective and Lagrangian therefore use the carried A c, except on a
     stop-check record; a "max_iter" run ends on a carried objective.
+
+    ``trace=False`` keeps only each start's last record, the one its
+    status is read from: an iteration forms a start's objective only when
+    the bound below cannot show it finite, and its Lagrangian and step norm
+    only for that last record.  States, statuses, errors and last records
+    are bit for bit those of ``trace=True``; a failed start's trace is then
+    empty.
 
     ``inverse`` is c_inverse(A, cfg), built here when not given.  Nothing
     here reads the rho condition: train_multistart checks descent on the
@@ -347,6 +359,11 @@ def admm_run(loss: MarginLoss, labels, A: GramMatrix, cfg: AdmmConfig, inits,
     y = labels[:, None]
     if inverse is None:
         inverse = c_inverse(A, cfg)
+    # Every loss has 0 <= L(z) <= 2 + |z|, so with labels in [-1, 1] the
+    # objective F(A c) + lam c^T A c is finite when every |(A c)_i| <= 1e150
+    # and |lam c^T A c| <= 1e300.  Where that bound fails or reads NaN, the
+    # objective is formed and tested itself.
+    bounded = bool(np.all(np.abs(labels) <= 1.0))
 
     def block(arrays):
         return np.array(arrays, dtype=float).T
@@ -359,41 +376,52 @@ def admm_run(loss: MarginLoss, labels, A: GramMatrix, cfg: AdmmConfig, inits,
     for _ in range(cfg.max_iter):
         prev, st = st, admm_step(loss, y, cfg, st, inverse)
         k = st.k
-        res = st.alpha - st.ac
-        # F(alpha) and F(A c) in one pass, on their columns side by side in
-        # a Fortran-ordered N x 2S block.
-        risks = _risk(loss, y, np.concatenate((st.alpha.T, st.ac.T)).T)
-        risk_alpha, risk_ac = risks[:len(starts)], risks[len(starts):]
-        gamma = 2.0 * cfg.lam * st.c
-        columns = zip(st.alpha.T, st.c.T, st.ac.T, res.T, gamma.T, (st.c - prev.c).T,
+        record = trace or k == cfg.max_iter  # every column keeps this iteration's record
+        if record:
+            # F(alpha) and F(A c) in one pass, on their columns side by side
+            # in a Fortran-ordered N x 2S block.
+            risks = _risk(loss, y, np.concatenate((st.alpha.T, st.ac.T)).T)
+            risk_alpha, risk_ac = risks[:len(starts)], risks[len(starts):]
+        elif bounded:
+            ac_max = np.abs(st.ac).max(axis=0).tolist()
+        columns = zip(st.alpha.T, st.c.T, st.ac.T, (st.alpha - st.ac).T, (st.c - prev.c).T,
                       (st.ac - prev.ac).T)
-        for i, (alpha, c, ac, r, g, dc, dac) in enumerate(columns):
+        for i, (alpha, c, ac, r, dc, dac) in enumerate(columns):
             j = starts[i]
             r_sq = float(r.dot(r))
-            if math.sqrt(r_sq) < cfg.eps0:
+            checked = math.sqrt(r_sq) < cfg.eps0
+            if checked:
                 # The stop check: the true product replaces the carried one
                 # in this step's own A c, a fresh array, never prev.ac.
                 ac[:] = a_dot(A, c)
                 r = alpha - ac
                 r_sq = float(r.dot(r))
-                risk_ac[i] = _risk(loss, labels, ac)
                 dac = ac - prev.ac[:, i]
             resid = math.sqrt(r_sq)
-            cac = float(c.dot(ac))
-            lag = _lagrangian_given(risk_alpha[i], cfg, g, r, cac, r_sq)
-            obj = risk_ac[i] + cfg.lam * cac
             try:
-                step_norm = math.sqrt(_psd_form(float(dc.dot(dac))))
+                step_sq = _psd_form(float(dc.dot(dac)))
             except DefinitenessError as exc:
                 results[j] = AdmmRunResult(_column_state(st, i), traces[j], "failed", str(exc))
                 continue
-            traces[j].append(k, lag, obj, resid, step_norm)
+            cac = float(c.dot(ac))
+            lam_cac = cfg.lam * cac
+            if (not (record or checked) and bounded and math.isfinite(resid)
+                    and ac_max[i] <= 1e150 and abs(lam_cac) <= 1e300):
+                continue  # a finite objective, and nothing to record
+            obj = (risk_ac[i] if record and not checked else _risk(loss, labels, ac)) + lam_cac
+            status = error = None
             if not (math.isfinite(obj) and math.isfinite(resid)):
+                status = "diverged"
                 error = f"diverged at iteration {k} (objective {obj}, residual {resid})"
-                results[j] = AdmmRunResult(_column_state(st, i), traces[j], "diverged", error)
+            elif resid < cfg.eps0:
+                status = "converged"
+            elif not record:
                 continue
-            if resid < cfg.eps0:
-                results[j] = AdmmRunResult(_column_state(st, i), traces[j], "converged")
+            risk = risk_alpha[i] if record else _risk(loss, labels, alpha)
+            lag = _lagrangian_given(risk, cfg, 2.0 * cfg.lam * c, r, cac, r_sq)
+            traces[j].append(k, lag, obj, resid, math.sqrt(step_sq))
+            if status is not None:
+                results[j] = AdmmRunResult(_column_state(st, i), traces[j], status, error)
         keep = [i for i, j in enumerate(starts) if results[j] is None]
         if len(keep) < len(starts):
             # Indexing whole columns keeps the arrays Fortran-ordered.

@@ -145,7 +145,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     loss = get_loss(args.loss)
     model, summaries = train_multistart(
         train, spec, loss, cfg, args.starts, args.seed,
-        gram_matrix=A, rho_check=check,
+        gram_matrix=A, rho_check=check, trace=bool(args.trace_path),
     )
     model.scaling = scaling
 

@@ -109,6 +109,12 @@ def _tlog_scored(y, v, h, rho, n):
     c = 0.5 * rho
     disc = (2.0 - v) ** 2 - 4.0 * h
     root = np.sqrt(np.maximum(disc, 0.0))
+    # Below -1e150 (2 - v)^2 nears overflow and then swamps 4h: factor
+    # 2 - v > 0 out of the root there.
+    far = v < -1e150
+    if far.any():
+        d = np.where(far, 2.0 - v, 1.0)
+        root = np.where(far, d * np.sqrt(1.0 - 4.0 * h / d ** 2), root)
     no_root = disc < 0.0
     s = 2.0 + v
     z_small = np.minimum(np.where(no_root, 1.0, 0.5 * (s - root)), 1.0)
@@ -169,8 +175,8 @@ def _tlog_prox(y, v, h, rho, n):
     # Below 1 - 2h the small root leads the margin 1 by at least
     # rho (1 - v)((1 - v) / 2 - h), as log(2 - v) <= 1 - v; from 1 on the
     # flat piece leads it by (rho / 2)(v - 1)^2.  The large root, a local
-    # maximum, is clipped to 1 for h <= 1/4.  Below -1e150 (2 - v)^2
-    # overflows, and the scorer's objectives are all infinite.
+    # maximum, is clipped to 1 for h <= 1/4.  Below -1e150 (2 - v)^2 nears
+    # overflow, and the scorer takes the root in a factored form.
     width = _band_width(h, rho)
     if width is None:
         return _tlog_scored(y, v, h, rho, n)
@@ -242,7 +248,7 @@ def prox_vector(loss, rho, n, labels, anchors) -> np.ndarray:
     one's.  An infinite anchor is its own minimizer; the table scores a
     finite stand-in there, so its objectives never meet inf - inf.
     """
-    if not (rho > 0 and np.isfinite(rho)):
+    if not (rho > 0 and math.isfinite(rho)):
         raise InputError(f"rho must be positive, got {rho}")
     if not (n >= 1 and float(n).is_integer()):
         raise InputError(f"sample count must be an integer of at least 1, got {n}")

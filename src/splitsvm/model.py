@@ -219,6 +219,7 @@ def train_multistart(
     gram_matrix: GramMatrix | None = None,
     inverse: np.ndarray | None = None,
     rho_check: RhoCondition | None = None,
+    trace: bool = False,
 ):
     """Run ``starts`` seeded ADMM starts; keep the lowest final objective.
 
@@ -231,12 +232,16 @@ def train_multistart(
     ``starts`` is.  Ties in the final objective resolve to the lowest start
     index; a start that failed or diverged is never selected.
     ``rho_check`` is the verdict of rho_condition when the caller already
-    has it; None computes it.  When it is "satisfied", each start's
-    finished trace is checked for descent: each Lagrangian rise above
-    DESCENT_SLACK warns, start by start, except at the record a start
-    diverged at.  Returns (TrainedModel,
-    [StartSummary...]); only the chosen start's summary keeps its trace,
-    and the model metadata records which start won.
+    has it; None computes it.  When it is "satisfied", every start runs
+    with its full trace, and each finished trace is checked for descent:
+    each Lagrangian rise above DESCENT_SLACK warns, start by start, except
+    at the record a start diverged at.  Returns (TrainedModel,
+    [StartSummary...]), and the model metadata records which start won.
+    With ``trace=True`` the chosen start's summary keeps its full
+    per-iteration trace; otherwise every summary's trace is None and, when
+    rho is not "satisfied", no start forms a Lagrangian or step norm before
+    its last iteration (admm_run's ``trace``).  The model and summaries are
+    otherwise the same bit for bit.
     """
     check_integers(starts=starts, seed=seed)
     if starts < 1:
@@ -254,7 +259,8 @@ def train_multistart(
         raise InputError("inverse does not match the kernel matrix size")
     inits = [initial_state(A, np.random.default_rng(seed + s)) for s in range(starts)]
 
-    runs = admm_run(loss, data.y, A, cfg, inits, inverse)
+    # The descent monitor reads every start's whole trace.
+    runs = admm_run(loss, data.y, A, cfg, inits, inverse, trace=trace or rho_check.ok)
     if rho_check.ok:  # the descent monitor
         for run in runs:
             for k, rise in run.trace.rises(DESCENT_SLACK):
@@ -278,7 +284,8 @@ def train_multistart(
         detail = "; ".join(f"start {s.index}: {s.error}" for s in summaries)
         raise TrainingError(f"all {starts} training starts failed: {detail}")
     run, summary = best
-    summary.trace = run.trace
+    if trace:
+        summary.trace = run.trace
     meta = ModelMeta(
         loss_name=loss.name,
         rho=cfg.rho,

@@ -158,6 +158,11 @@ def candidate_margins(pw, v, h):
             # z^2 - (2 + v) z + 2 v + h = 0 with h = 1/(rho n).
             disc = (2.0 - v) ** 2 - 4.0 * h
             root = np.sqrt(np.maximum(disc, 0.0))
+            # For v far below 0, disc overflows; the root is then
+            # (2 - v) sqrt(1 - (2 sqrt(h) / (2 - v))^2), squared as a ratio.
+            far = v < -1e150
+            gap = np.where(far, 2.0 - v, 1.0)
+            root = np.where(far, gap * np.sqrt(1.0 - (2.0 * np.sqrt(h) / gap) ** 2), root)
             for sign in (-1.0, 1.0):
                 z = 0.5 * ((2.0 + v) + sign * root)
                 z = np.where(disc < 0.0, piece.hi, z)

@@ -301,7 +301,7 @@ def test_monotone_descent_when_condition_holds(separated_instance):
         warnings.simplefilter("error")
         check = rho_condition(A, cfg)
         _, (summary,) = train_multistart(data, spec, HINGE, cfg, starts=1, seed=3,
-                                         gram_matrix=A, rho_check=check)
+                                         gram_matrix=A, rho_check=check, trace=True)
     assert check.ok
     assert check.lambda_min == float(eigh(A.entries.T, lower=False, eigvals_only=True,
                                           subset_by_index=[0, 0], driver="evr")[0])
@@ -316,9 +316,10 @@ def rise_warning(k, rise):
 
 
 def train_with_lagrangians(monkeypatch, separated_instance, values, verdict, starts=1,
-                           max_iter=3):
+                           max_iter=3, trace=True):
     """train_multistart with admm_run's Lagrangians read from ``values``, in
-    the order the block forms them; returns the warnings it gives."""
+    the order the block forms them; returns the warnings it gives and the
+    summaries."""
     import splitsvm.admm as admm_mod
 
     data, spec, A = separated_instance
@@ -327,10 +328,10 @@ def train_with_lagrangians(monkeypatch, separated_instance, values, verdict, sta
     monkeypatch.setattr(admm_mod, "_lagrangian_given", lambda *args: next(values))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        train_multistart(data, spec, HINGE, cfg, starts=starts, seed=3, gram_matrix=A,
-                         rho_check=verdict)
+        _, summaries = train_multistart(data, spec, HINGE, cfg, starts=starts, seed=3,
+                                        gram_matrix=A, rho_check=verdict, trace=trace)
     assert next(values, None) is None
-    return [(w.category, str(w.message)) for w in caught]
+    return [(w.category, str(w.message)) for w in caught], summaries
 
 
 def test_descent_monitor_warns_on_each_rise(separated_instance, monkeypatch):
@@ -343,8 +344,8 @@ def test_descent_monitor_warns_on_each_rise(separated_instance, monkeypatch):
     for verdict in (check, None, RhoCondition("not checked"),
                     RhoCondition("NOT satisfied", check.lambda_min, 100.0),
                     RhoCondition("not verifiable", detail="singular")):
-        caught = train_with_lagrangians(monkeypatch, separated_instance, [0.0, 1.0, 2.0],
-                                        verdict)
+        caught, _ = train_with_lagrangians(monkeypatch, separated_instance, [0.0, 1.0, 2.0],
+                                           verdict)
         expected = [rise_warning(k, 1.0) for k in (2, 3)] if verdict in (check, None) else []
         assert caught == expected
 
@@ -353,9 +354,21 @@ def test_descent_warnings_come_grouped_by_start(separated_instance, monkeypatch)
     # The block forms each iteration's Lagrangians column by column: start
     # 0 reads 0, 1, 2 and start 1 reads 0, 5, 4.
     check = rho_condition(separated_instance[2], AdmmConfig(lam=0.5, rho=5.0))
-    caught = train_with_lagrangians(monkeypatch, separated_instance,
-                                    [0.0, 0.0, 1.0, 5.0, 2.0, 4.0], check, starts=2)
+    caught, _ = train_with_lagrangians(monkeypatch, separated_instance,
+                                       [0.0, 0.0, 1.0, 5.0, 2.0, 4.0], check, starts=2)
     assert caught == [rise_warning(2, 1.0), rise_warning(3, 1.0), rise_warning(2, 5.0)]
+
+
+def test_descent_monitor_reads_every_start_when_no_trace_is_kept(separated_instance,
+                                                                 monkeypatch):
+    # trace=False keeps no trace, but a "satisfied" verdict still has every
+    # start's Lagrangian formed at every iteration and checked.
+    check = rho_condition(separated_instance[2], AdmmConfig(lam=0.5, rho=5.0))
+    caught, summaries = train_with_lagrangians(monkeypatch, separated_instance,
+                                               [0.0, 0.0, 1.0, 5.0, 2.0, 4.0], check,
+                                               starts=2, trace=False)
+    assert caught == [rise_warning(2, 1.0), rise_warning(3, 1.0), rise_warning(2, 5.0)]
+    assert [s.trace for s in summaries] == [None, None]
 
 
 def test_descent_monitor_skips_the_record_a_start_diverged_at(separated_instance,
@@ -374,8 +387,8 @@ def test_descent_monitor_skips_the_record_a_start_diverged_at(separated_instance
 
     monkeypatch.setattr(admm_mod, "admm_step", step)
     check = rho_condition(separated_instance[2], AdmmConfig(lam=0.5, rho=5.0))
-    caught = train_with_lagrangians(monkeypatch, separated_instance,
-                                    [0.0, 0.0, 1.0, 2.0, 3.0], check, starts=2)
+    caught, _ = train_with_lagrangians(monkeypatch, separated_instance,
+                                       [0.0, 0.0, 1.0, 2.0, 3.0], check, starts=2)
     assert caught == [rise_warning(2, 2.0), rise_warning(3, 1.0)]
 
 
@@ -729,6 +742,169 @@ def test_block_starts_equal_their_runs_alone(loss, monkeypatch):
     for s in range(5):
         assert_same_run(alone[s], block[s])
         assert_same_run(alone[s], backwards[s])
+
+
+def assert_same_ends(traced, untraced):
+    """Runs of one block with and without a trace end alike, start by start:
+    the same state bit for bit, status, error and count, and the untraced
+    run keeps only the traced run's last record (none for a failed start)."""
+    for full, last in zip(traced, untraced, strict=True):
+        assert (last.status, last.error, last.state.k) == (full.status, full.error,
+                                                           full.state.k)
+        for name in ("alpha", "c", "ac"):
+            np.testing.assert_array_equal(getattr(last.state, name),
+                                          getattr(full.state, name))
+        if full.status == "failed":
+            assert len(last.trace) == 0
+        else:
+            assert len(last.trace) == 1
+            assert repr(last.trace.final) == repr(full.trace.final)
+
+
+@pytest.mark.parametrize("max_iter", [40, 5000])
+@pytest.mark.parametrize("starts", [1, 3])
+@pytest.mark.parametrize("loss", [HINGE, PL2, RAMP, TLOG], ids=lambda l: l.name)
+def test_untraced_run_ends_as_the_traced_run(loss, starts, max_iter):
+    A, y = random_instance(30, seed=2)
+    cfg = AdmmConfig(lam=0.5, rho=5.0, max_iter=max_iter)
+    inits = [initial_state(A, np.random.default_rng(s)) for s in range(starts)]
+    traced = admm_run(loss, y, A, cfg, inits)
+    untraced = admm_run(loss, y, A, cfg, inits, trace=False)
+    assert {run.status for run in traced} == {"max_iter" if max_iter == 40 else "converged"}
+    assert_same_ends(traced, untraced)
+
+
+def resized_at(monkeypatch, k, size):
+    """Make admm_step set column 0 of its new c to ``size`` times w at
+    iteration k, where w_i = sign((A c)_i) where (A c)_i and the step's
+    change in A c share a sign, else 0.  Both c^T A c and the step's d^T A d
+    are then positive, and alpha and the carried A c, so the residual, stay
+    as they were."""
+    import splitsvm.admm as admm_mod
+
+    real_step = admm_mod.admm_step
+
+    def step(loss, labels, cfg, st, inverse):
+        nxt = real_step(loss, labels, cfg, st, inverse)
+        if nxt.k == k:
+            ac, dac = nxt.ac[:, 0], nxt.ac[:, 0] - st.ac[:, 0]
+            nxt.c[:, 0] = size(ac, dac) * np.where(np.sign(ac) == np.sign(dac), np.sign(ac), 0.0)
+        return nxt
+
+    monkeypatch.setattr(admm_mod, "admm_step", step)
+
+
+def test_untraced_run_diverges_where_the_objective_overflows(monkeypatch):
+    # At iteration 3 start 0's c^T A c overflows while its residual stays
+    # finite: both runs stop it there, with the same error text.
+    A, y = random_instance(30, seed=2)
+    cfg = AdmmConfig(lam=0.5, rho=5.0, max_iter=5000)
+    inits = [initial_state(A, np.random.default_rng(s)) for s in range(2)]
+    resized_at(monkeypatch, 3, lambda ac, dac: 1e308)
+    with np.errstate(over="ignore"):
+        traced = admm_run(PL2, y, A, cfg, inits)
+        untraced = admm_run(PL2, y, A, cfg, inits, trace=False)
+    first = traced[0]
+    assert first.status == "diverged" and first.state.k == 3
+    assert first.trace.final.objective == math.inf
+    assert math.isfinite(first.trace.final.residual)
+    assert first.error.startswith("diverged at iteration 3 (objective inf, residual ")
+    assert traced[1].status == "converged"
+    assert_same_ends(traced, untraced)
+
+
+@pytest.mark.parametrize("which", ["risk", "residual"])
+def test_untraced_run_diverges_where_only_the_risk_or_residual_overflows(which, monkeypatch):
+    # From c = 0 a step is made to keep c = 0, so c^T A c = 0 and d = 0, and
+    # to set A c and alpha so that either F(A c) overflows (margins of
+    # -1e307 but the last, where alpha and A c differ by 1), or
+    # ||alpha - A c|| overflows with F(A c) = F(0).
+    import splitsvm.admm as admm_mod
+
+    A, y = random_instance(30, seed=2)
+    real_step = admm_mod.admm_step
+
+    def step(loss, labels, cfg, st, inverse):
+        nxt = real_step(loss, labels, cfg, st, inverse)
+        nxt.c[:] = 0.0
+        if which == "risk":
+            nxt.ac[:] = -1e307 * y[:, None]
+            nxt.ac[-1] = 0.0
+            nxt.alpha[:] = nxt.ac
+            nxt.alpha[-1] = 1.0
+        else:
+            nxt.ac[:], nxt.alpha[:] = 0.0, 1e200
+        return nxt
+
+    monkeypatch.setattr(admm_mod, "admm_step", step)
+    cfg = AdmmConfig(lam=0.5, rho=5.0, max_iter=50)
+    init = state(A, np.zeros(30), np.zeros(30))
+    with np.errstate(over="ignore"):
+        traced = admm_run(HINGE, y, A, cfg, [init])
+        untraced = admm_run(HINGE, y, A, cfg, [init], trace=False)
+    final = traced[0].trace.final
+    assert traced[0].status == "diverged" and traced[0].state.k == 1
+    assert (final.objective, final.residual)[which == "residual"] == math.inf
+    assert math.isfinite((final.objective, final.residual)[which == "risk"])
+    assert_same_ends(traced, untraced)
+
+
+def test_untraced_run_keeps_a_start_the_bound_cannot_clear(monkeypatch):
+    # At iteration 3 start 0's lam c^T A c is 1e303: finite, but past the
+    # bound that lets an untraced run skip the objective.  The start runs on
+    # in both runs and ends alike.
+    A, y = random_instance(30, seed=2)
+    cfg = AdmmConfig(lam=0.5, rho=5.0, max_iter=50)
+    init = initial_state(A, np.random.default_rng(0))
+    resized_at(monkeypatch, 3, lambda ac, dac: 2e303 / np.abs(ac[np.sign(ac) == np.sign(dac)]).sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        traced = admm_run(PL2, y, A, cfg, [init])
+        untraced = admm_run(PL2, y, A, cfg, [init], trace=False)
+    assert traced[0].trace.records[2].objective == pytest.approx(1e303, rel=1e-9)
+    assert traced[0].state.k > 3
+    assert_same_ends(traced, untraced)
+
+
+def test_untraced_run_forms_the_objective_for_labels_past_the_bound(monkeypatch):
+    # Labels of +-1e300 make the margins of a bounded A c infinite, and the
+    # hinge loss of the negative ones with them.  The bound assumes labels
+    # in [-1, 1], so an untraced run forms the objective and stops too.
+    import splitsvm.admm as admm_mod
+
+    real_step = admm_mod.admm_step
+
+    def step(loss, labels, cfg, st, inverse):
+        # Keep c, and set A c to 1e10 with a residual of 1 per entry.
+        nxt = real_step(loss, labels, cfg, st, inverse)
+        nxt.c[:], nxt.ac[:], nxt.alpha[:] = st.c, 1e10, 1e10 + 1.0
+        return nxt
+
+    monkeypatch.setattr(admm_mod, "admm_step", step)
+    A, y = random_instance(30, seed=2)
+    cfg = AdmmConfig(lam=0.5, rho=5.0, max_iter=50)
+    init = initial_state(A, np.random.default_rng(0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        traced = admm_run(HINGE, 1e300 * y, A, cfg, [init])
+        untraced = admm_run(HINGE, 1e300 * y, A, cfg, [init], trace=False)
+    assert traced[0].status == "diverged" and traced[0].state.k == 1
+    assert traced[0].trace.final.objective == math.inf
+    assert_same_ends(traced, untraced)
+
+
+def test_untraced_run_fails_at_the_same_step():
+    # A = [[0, 2], [2, 0]] is indefinite, but 2 lam I + rho A (eigenvalues
+    # 2 and 6) can be inverted: a step with d0 d1 < 0 has d^T A d < 0.
+    A = GramMatrix(np.array([[0.0, 2.0], [2.0, 0.0]]))
+    y = np.array([1.0, -1.0])
+    cfg = AdmmConfig(lam=2.0, rho=1.0, max_iter=100, enforce_rho_condition="off")
+    inits = [initial_state(A, np.random.default_rng(s)) for s in range(3)]
+    traced = admm_run(HINGE, y, A, cfg, inits)
+    untraced = admm_run(HINGE, y, A, cfg, inits, trace=False)
+    assert "failed" in {run.status for run in traced}
+    for run in traced:
+        if run.status == "failed":
+            assert "not PSD" in run.error and len(run.trace) == run.state.k - 1
+    assert_same_ends(traced, untraced)
 
 
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 127, 128, 129, 300, 1000])

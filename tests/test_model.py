@@ -183,7 +183,7 @@ def test_multistart_keeps_lowest_objective(small_split):
     cfg = AdmmConfig(lam=0.1, rho=1.0, eps0=1e-10, max_iter=3000,
                      enforce_rho_condition="off")
     spec = KernelSpec("gaussian", 1.0)
-    model, summaries = train_multistart(train, spec, RAMP, cfg, starts=4, seed=5)
+    model, summaries = train_multistart(train, spec, RAMP, cfg, starts=4, seed=5, trace=True)
     objectives = [s.objective for s in summaries]
     assert len(objectives) == 4
     assert model.meta.objective == min(objectives)
@@ -287,7 +287,8 @@ def test_multistart_reports_all_failed_starts(small_split, monkeypatch):
 
     runs = []
     real = model_mod.admm_run
-    monkeypatch.setattr(model_mod, "admm_run", lambda *args: runs.append(1) or real(*args))
+    monkeypatch.setattr(model_mod, "admm_run",
+                        lambda *args, **kwargs: runs.append(1) or real(*args, **kwargs))
     train, _ = small_split
     # The starts run as one admm_run block, which the patched call site sees.
     ok_cfg = AdmmConfig(lam=0.5, rho=5.0, max_iter=5, enforce_rho_condition="off")
