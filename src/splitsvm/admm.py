@@ -75,11 +75,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import dsymv
-from scipy.linalg.lapack import dpotrf, dpotri
+from scipy.linalg.lapack import dpotri
 
 from ._io import write_text_atomic
 from .errors import DefinitenessError, InputError, check_integers
-from .kernels import LOWER, GramMatrix
+from .kernels import LOWER, GramMatrix, shifted_cholesky
 from .losses import MarginLoss, margin_value, prox_vector
 
 RHO_POLICIES = ("off", "warn", "error")
@@ -98,7 +98,7 @@ class AdmmConfig:
             raise InputError(f"regularization weight lam must be positive, got {self.lam}")
         if not (self.rho > 0 and np.isfinite(self.rho)):
             raise InputError(f"penalty rho must be positive, got {self.rho}")
-        if not (self.eps0 > 0):
+        if not (self.eps0 > 0 and np.isfinite(self.eps0)):
             raise InputError(f"stopping threshold eps0 must be positive, got {self.eps0}")
         check_integers(max_iter=self.max_iter)
         if self.max_iter < 1:
@@ -227,15 +227,12 @@ def c_inverse(A: GramMatrix, cfg: AdmmConfig):
     """The inverse of M = 2 lam I + rho A, the matrix of every c-update.
 
     Returns the triangle kernels.LOWER names of M^-1 in a Fortran-ordered
-    N x N array, the only N x N buffer this allocates.  rho A is formed
-    transposed (Fortran order) and its diagonal shifted; LAPACK factors it
-    in place (Cholesky, potrf) and turns the factor into M^-1 in place
-    (potri).  Raises DefinitenessError when
-    either step fails, i.e. when M is not positive definite.
+    N x N array, the only N x N buffer this allocates: LAPACK factors M in
+    place (kernels.shifted_cholesky) and turns the factor into M^-1 in place
+    (potri).  Raises DefinitenessError when either step fails, i.e. when M
+    is not positive definite.
     """
-    m = (cfg.rho * A.entries).T
-    m[np.diag_indices_from(m)] += 2.0 * cfg.lam
-    chol, info = dpotrf(m, lower=LOWER, clean=0, overwrite_a=1)
+    chol, info = shifted_cholesky(A, cfg.rho, 2.0 * cfg.lam)
     if info != 0:
         raise DefinitenessError(f"cannot factor 2 lam I + rho A: {info}-th leading minor "
                                 "of the array is not positive definite")
@@ -259,8 +256,8 @@ def admm_step(loss: MarginLoss, labels, cfg: AdmmConfig, st: AdmmState, inverse)
 
     ``st`` holds one start (1-D arrays) or a block of starts (N x S arrays,
     one per column; admm_run's are Fortran-ordered, and a block in another
-    layout steps to the same values), and ``labels`` broadcasts against it:
-    shape (N,), or (N, 1) for a block, else InputError.  ``inverse`` is
+    layout steps to the same values), and ``labels`` has shape (N,) for one
+    start and (N, 1) for a block, else InputError.  ``inverse`` is
     c_inverse(A, cfg).  The elementwise work runs on the whole block, and
     each column's c-solve is its own symv call, so a column's iterate does
     not depend on the other columns.  Reads A c from ``st.ac``
@@ -270,7 +267,7 @@ def admm_step(loss: MarginLoss, labels, cfg: AdmmConfig, st: AdmmState, inverse)
     carries over from ``st.ac``.
     """
     n = st.c.shape[0]
-    if np.shape(labels)[:1] != (n,) or np.ndim(labels) > np.ndim(st.c):
+    if np.shape(labels) != ((n,) if st.c.ndim == 1 else (n, 1)):
         raise InputError("labels must match the kernel matrix size")
     gamma = 2.0 * cfg.lam * st.c
     anchors = st.ac - gamma / cfg.rho

@@ -64,7 +64,7 @@ class GramMatrix:
 
 #: The triangle that every symmetric BLAS and LAPACK call reads, of A and of
 #: the inverse of 2 lam I + rho A (admm.a_dot, c_inverse, c_solve,
-#: min_eigenvalue, leading_eigenvalue and descent_minor's potrf): False, the
+#: min_eigenvalue, leading_eigenvalue and shifted_cholesky): False, the
 #: upper one in the Fortran view entries.T.
 LOWER = False
 
@@ -146,16 +146,10 @@ def min_eigenvalue(A: GramMatrix) -> float:
     return w
 
 
-def descent_minor(A: GramMatrix, lam: float, rho: float) -> int:
-    """Order k of the first leading minor of rho A - (4 lam - rho f) I that
-    is not positive definite, 0 when there is none; f = noise_floor(A).
-
-    rho > 4 lam / lambda_min(A) says that rho A - 4 lam I is positive
-    definite.  LAPACK's Cholesky factorization (potrf, in place on a copy
-    of rho A in the Fortran view, reading the triangle LOWER names) stops
-    at the first minor that is not.  The shift by rho f lets a condition
-    that holds, or fails by less than the noise floor, factor.
-    """
-    b = (rho * A.entries).T
-    b[np.diag_indices_from(b)] -= 4.0 * lam - rho * noise_floor(A)
-    return int(dpotrf(b, lower=LOWER, clean=0, overwrite_a=1)[1])
+def shifted_cholesky(A: GramMatrix, scale: float, shift: float):
+    """LAPACK potrf of scale A + shift I, in place on a Fortran-ordered copy,
+    reading the triangle LOWER names: (factor, info), info the order of the
+    first leading minor that is not positive definite, else 0."""
+    b = (scale * A.entries).T
+    b[np.diag_indices_from(b)] += shift
+    return dpotrf(b, lower=LOWER, clean=0, overwrite_a=1)

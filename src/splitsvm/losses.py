@@ -26,14 +26,16 @@ h <= 1/4 and rho in about [6.4e-11, 4e12], with a band rule.  Their
 scorers write every candidate's objective in the order of operations of
 the tests' enumerator and keep the best, but run only on the anchors
 within sqrt(4 TIE_TOL / rho) of an interval edge (for tlog, of
-[1 - 2h, 1], and below -1e150) and on NaN anchors.  Elsewhere the winner
-of the table leads every other candidate by at least twice TIE_TOL, so
-the table gives the scorer's bits without evaluating a log.  Where the
-tables are not derived, pl2 and tlog score every anchor, and ramp for
-h >= 2 scores through the same affine-piece scorer as pl2.  The tables
-assume finite margins: prox_vector alone makes an infinite anchor its own
-minimizer.  The tests check every table against an enumerator over the
-pieces (``tests/_oracles.py``).
+[1 - 2h, 1]) and on NaN anchors.  Elsewhere the winner of the table leads
+every other candidate by at least twice TIE_TOL, so the table gives the
+scorer's bits without evaluating a log.  The tlog table and scorer take
+the root of the log piece from one helper, which factors it below -1e150,
+so the table serves those far anchors as well.  Where the tables are not
+derived, pl2 and tlog score every anchor, and ramp for h >= 2 scores
+through the same affine-piece scorer as pl2.  The tables assume finite
+margins: prox_vector alone makes an infinite anchor its own minimizer.
+The tests check every table against an enumerator over the pieces
+(``tests/_oracles.py``).
 
 Ties within TIE_TOL of the minimal objective resolve to the smallest
 minimizer a (the hinge and ramp branch tables keep their own boundaries on
@@ -73,7 +75,7 @@ def _smallest_tied(y, zs, vals):
 
 
 def _hinge_prox(y, v, h, rho, n):
-    return y * np.where(v < 1.0 - h, v + h, np.where(v < 1.0, 1.0, v))
+    return y * np.where(v < 1.0 - h, v + h, np.maximum(v, 1.0))
 
 
 def _affine_prox(a_neg, s_neg, a_mid, s_mid):
@@ -103,19 +105,25 @@ _pl2_scored = _affine_prox(2.0, 1.0, 2.0, 2.0)
 _ramp_wide_prox = _affine_prox(1.0, 0.0, 1.0, 1.0)
 
 
-def _tlog_scored(y, v, h, rho, n):
-    # The candidates: both clipped roots of the log piece (1 when there is
-    # no real root), the flat piece, the breakpoint 1.
-    c = 0.5 * rho
+def _tlog_root(v, h):
+    """sqrt((2 - v)^2 - 4h), 0 where that discriminant is negative, and the
+    mask of those anchors (no_root): the log piece's stationary points are
+    ((2 + v) -+ root) / 2.  Below -1e150 (2 - v)^2 nears overflow and then
+    swamps 4h: 2 - v > 0 is factored out of the root there."""
     disc = (2.0 - v) ** 2 - 4.0 * h
     root = np.sqrt(np.maximum(disc, 0.0))
-    # Below -1e150 (2 - v)^2 nears overflow and then swamps 4h: factor
-    # 2 - v > 0 out of the root there.
     far = v < -1e150
     if far.any():
         d = np.where(far, 2.0 - v, 1.0)
         root = np.where(far, d * np.sqrt(1.0 - 4.0 * h / d ** 2), root)
-    no_root = disc < 0.0
+    return root, disc < 0.0
+
+
+def _tlog_scored(y, v, h, rho, n):
+    # The candidates: both clipped roots of the log piece (1 when there is
+    # no real root), the flat piece, the breakpoint 1.
+    c = 0.5 * rho
+    root, no_root = _tlog_root(v, h)
     s = 2.0 + v
     z_small = np.minimum(np.where(no_root, 1.0, 0.5 * (s - root)), 1.0)
     z_large = np.minimum(np.where(no_root, 1.0, 0.5 * (s + root)), 1.0)
@@ -175,20 +183,18 @@ def _tlog_prox(y, v, h, rho, n):
     # Below 1 - 2h the small root leads the margin 1 by at least
     # rho (1 - v)((1 - v) / 2 - h), as log(2 - v) <= 1 - v; from 1 on the
     # flat piece leads it by (rho / 2)(v - 1)^2.  The large root, a local
-    # maximum, is clipped to 1 for h <= 1/4.  Below -1e150 (2 - v)^2 nears
-    # overflow, and the scorer takes the root in a factored form.
+    # maximum, is clipped to 1 for h <= 1/4.
     width = _band_width(h, rho)
     if width is None:
         return _tlog_scored(y, v, h, rho, n)
-    small = (v > -1e150) & (v < 1.0 - 2.0 * h - width)
-    root = np.sqrt(np.maximum((2.0 - v) ** 2 - 4.0 * h, 0.0))
-    z = np.where(small, 0.5 * ((2.0 + v) - root), v)
+    small = v < 1.0 - 2.0 * h - width
+    z = np.where(small, 0.5 * ((2.0 + v) - _tlog_root(v, h)[0]), v)
     return _rescored(_tlog_scored, y, v, h, rho, n, z, ~(small | (v >= 1.0 + width)))
 
 
 def _ramp_prox(y, v, h, rho, n):
     if h < 2.0:
-        z = np.where(v <= -0.5 * h, v, np.where(v <= 1.0 - h, v + h, np.where(v < 1.0, 1.0, v)))
+        z = np.where(v <= -0.5 * h, v, np.where(v <= 1.0 - h, v + h, np.maximum(v, 1.0)))
         # At v = -h/2 the flat and sloped pieces tie; the smaller minimizer
         # is -h/2 for either label.
         return np.where(v == -0.5 * h, -0.5 * h, y * z)

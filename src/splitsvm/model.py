@@ -32,11 +32,11 @@ from .kernels import (
     GramMatrix,
     KernelSpec,
     cross_gram,
-    descent_minor,
     gram,
     leading_eigenvalue,
     min_eigenvalue,
     noise_floor,
+    shifted_cholesky,
 )
 from .losses import LOSSES, MarginLoss
 
@@ -123,7 +123,7 @@ class RhoCondition:
     ``minor`` is 0 when ``threshold`` is 4 lam / lambda_min(A) itself.  When
     it is k > 0 the condition failed at the leading k x k minor A_k,
     ``lambda_min`` is None and ``threshold`` is a lower bound on it, from
-    lambda_min(A_k) (see _failed_minor)."""
+    lambda_min(A_k) (see rho_condition)."""
 
     status: str
     lambda_min: float | None = None
@@ -141,40 +141,35 @@ class RhoCondition:
         return f"4*lam/lambda_min {'>=' if self.minor else '='} {self.threshold:#.3g}"
 
 
-def _failed_minor(A: GramMatrix, cfg: AdmmConfig) -> RhoCondition | None:
-    """A "NOT satisfied" verdict from a leading minor, without lambda_min(A).
-
-    descent_minor names the first minor A_k at which the condition fails.
-    With w its smallest eigenvalue and f = noise_floor(A), lambda_min(A) <=
-    lambda_min(A_k) <= w + f (interlacing, then rounding), so 4 lam / (w + f)
-    bounds the threshold from below.  The verdict stands when that bound is
-    positive and reaches rho; None leaves the decision to lambda_min(A).
+def descent_minor(A: GramMatrix, lam: float, rho: float) -> int:
+    """Order k of the first leading minor of rho A - (4 lam - rho f) I that
+    is not positive definite, 0 when there is none; f = noise_floor(A).
+    rho > 4 lam / lambda_min(A) holds when rho A - 4 lam I factors; the shift
+    by rho f lets it factor too when it fails by less than the noise floor.
     """
-    k = descent_minor(A, cfg.lam, cfg.rho)
-    if k == 0:
-        return None
-    top = leading_eigenvalue(A, k) + noise_floor(A)
-    if not 0 < cfg.rho * top <= 4.0 * cfg.lam:
-        return None
-    return RhoCondition("NOT satisfied", threshold=4.0 * cfg.lam / top, minor=k)
+    return int(shifted_cholesky(A, rho, rho * noise_floor(A) - 4.0 * lam)[1])
 
 
 def rho_condition(A: GramMatrix, cfg: AdmmConfig) -> RhoCondition:
     """Decide rho > 4 lam / lambda_min(A) under ``cfg.enforce_rho_condition``.
 
-    The one reader of that policy.  One Cholesky factorization of
-    rho A - 4 lam I, shifted by the noise floor, comes first: when it stops
-    at a leading minor that shows the condition failing, the verdict is
-    "NOT satisfied" with a lower bound on the threshold, and lambda_min(A)
-    is never computed.  Otherwise lambda_min(A) is computed once.  "off"
-    computes nothing; "warn" warns once when the condition fails or cannot
-    be verified; "error" raises InputError or DefinitenessError instead.
+    The one reader of that policy.  descent_minor's Cholesky comes first:
+    at a failing minor A_k with smallest eigenvalue w, lambda_min(A) <= w + f
+    (interlacing, then rounding; f = noise_floor(A)), so when 4 lam / (w + f)
+    is positive and reaches rho the verdict is "NOT satisfied" with that
+    lower bound, and lambda_min(A) is never computed.  Otherwise
+    lambda_min(A) is computed once.  "off" computes nothing; "warn" warns
+    once when the condition fails or cannot be verified; "error" raises
+    InputError or DefinitenessError instead.
     """
     policy = cfg.enforce_rho_condition
     if policy == "off":
         return RhoCondition("not checked")
-    check = _failed_minor(A, cfg)
-    if check is None:
+    k = descent_minor(A, cfg.lam, cfg.rho)
+    top = leading_eigenvalue(A, k) + noise_floor(A) if k else 0.0
+    if 0 < cfg.rho * top <= 4.0 * cfg.lam:
+        check = RhoCondition("NOT satisfied", threshold=4.0 * cfg.lam / top, minor=k)
+    else:
         try:
             lambda_min = min_eigenvalue(A)
         except DefinitenessError as exc:
@@ -358,25 +353,23 @@ class _Reader:
             raise ParseError(f"{self.path}: line {ln}: expected numbers, got {raw}") from None
 
     def data_rows(self, n, width):
-        """The next n lines as an (n, width) array, converted a block at a
-        time; the row loop runs only to report the first bad line."""
+        """The next n lines as an (n, width) array, converted in one block;
+        else ParseError at the first bad line or, past them, the missing row."""
         rows = [line.split() for line in self.lines[self.pos:self.pos + n]]
         if len(rows) == n and set(map(len, rows)) == {width}:
             out = float_cells(rows, n, width)
             if out is not None:
                 self.pos += n
                 return out
-        out = np.empty((n, width))
-        for i in range(n):
-            line, ln = self.next(f"data row {i + 1} of {n}")
-            parts = line.split()
+        for i, parts in enumerate(rows):
+            _, ln = self.next(f"data row {i + 1} of {n}")
             if len(parts) != width:
                 raise ParseError(
                     f"{self.path}: line {ln}: expected {width - 1} features + 1 coefficient, "
                     f"got {len(parts)} fields"
                 )
-            out[i] = self.floats(parts, ln)
-        return out
+            self.floats(parts, ln)
+        self.next(f"data row {len(rows) + 1} of {n}")
 
     def checked(self, key, valid, what, count=None):
         """Values of a '<key> v...' line; ParseError unless valid(values) holds."""

@@ -31,13 +31,18 @@ from splitsvm.kernels import (
     LOWER,
     GramMatrix,
     KernelSpec,
-    descent_minor,
     gram,
     min_eigenvalue,
     noise_floor,
 )
 from splitsvm.losses import HINGE, PL2, RAMP, TLOG, margin_value
-from splitsvm.model import DESCENT_SLACK, RhoCondition, rho_condition, train_multistart
+from splitsvm.model import (
+    DESCENT_SLACK,
+    RhoCondition,
+    descent_minor,
+    rho_condition,
+    train_multistart,
+)
 
 
 def unit_instance():
@@ -82,6 +87,7 @@ def random_instance(n=20, seed=5, spread=4.0):
         dict(lam=0.1, rho=1.0, max_iter=0),
         dict(lam=0.1, rho=math.inf),
         dict(lam=0.1, rho=1.0, eps0=math.nan),
+        dict(lam=0.1, rho=1.0, eps0=math.inf),
         dict(lam=0.1, rho=1.0, enforce_rho_condition="maybe"),
     ],
 )
@@ -180,6 +186,14 @@ def test_step_rejects_mismatched_labels():
     for labels in (np.ones(5), np.ones(1), 1.0, np.ones((6, 1))):
         with pytest.raises(InputError):
             admm_step(HINGE, labels, cfg, st, inverse)
+    # A block takes (N, 1) labels only: (N,) ones would scale its rows by
+    # start (S = N) or fail to broadcast (S != N).
+    for starts in (3, 6):
+        zeros = np.zeros((6, starts), order="F")
+        block = AdmmState(alpha=zeros, c=zeros, ac=zeros, k=0)
+        for labels in (np.ones(6), np.ones((6, starts)), np.ones((5, 1))):
+            with pytest.raises(InputError):
+                admm_step(HINGE, labels, cfg, block, inverse)
 
 
 def test_run_rejects_mismatched_labels():

@@ -7,15 +7,17 @@ from _oracles import eval_kernel
 from splitsvm.errors import DefinitenessError, DuplicatePointError, InputError
 from splitsvm.kernels import (
     KERNEL_FAMILIES,
+    LOWER,
     GramMatrix,
     KernelSpec,
     cross_gram,
-    descent_minor,
     gram,
     leading_eigenvalue,
     min_eigenvalue,
     noise_floor,
+    shifted_cholesky,
 )
+from splitsvm.model import descent_minor
 
 
 def test_kernel_families():
@@ -249,4 +251,18 @@ def test_descent_minor_leaves_the_noise_floor_to_the_eigenvalue():
         A = GramMatrix(np.diag([1.0, 0.4 - below]))
         assert descent_minor(A, 0.1, 1.0) == 0
     assert descent_minor(GramMatrix(np.diag([1.0, 0.4 - 1e-6])), 0.1, 1.0) == 2
+
+
+def test_shifted_cholesky_factors_a_scaled_and_shifted_copy(rng):
+    # The factor U of scale A + shift I = U^T U sits in the upper triangle
+    # of a Fortran-ordered array (LOWER is False); A itself is not touched.
+    A = gram(KernelSpec("gaussian", 1.0), rng.uniform(-2.0, 2.0, size=(30, 2)))
+    before = A.entries.copy()
+    factor, info = shifted_cholesky(A, 3.0, 0.25)
+    assert info == 0 and factor.flags.f_contiguous and LOWER is False
+    dense = np.linalg.cholesky(3.0 * before + 0.25 * np.eye(30))
+    np.testing.assert_allclose(np.triu(factor), dense.T, rtol=1e-12, atol=1e-12)
+    assert np.array_equal(A.entries, before)
+    # info is the order of the first leading minor that does not factor.
+    assert shifted_cholesky(GramMatrix(np.diag([1.0, 2.0, 0.5])), 1.0, -0.75)[1] == 3
 

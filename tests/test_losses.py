@@ -437,6 +437,24 @@ def test_tables_match_enumerator_at_band_edges(loss, rho, n):
         np.testing.assert_allclose(assert_as_enumerated(far), -far, rtol=1e-12)
 
 
+def test_tlog_table_serves_far_anchors(monkeypatch):
+    # Below -1e150 the table takes the scorer's factored root itself: the
+    # same bits, with no scorer call.
+    v = np.array([-1e300, -2e154, -1e151, -1.0000001e150])
+    y = np.array([1.0, -1.0, 1.0, -1.0])
+    rho, n = 1.0, 300
+
+    def no_scorer(*args):
+        raise AssertionError("the tlog scorer ran")
+
+    with np.errstate(over="ignore"):  # (2 - v)^2, which the factored root replaces
+        expected = losses_mod._tlog_scored(y, v, 1.0 / (rho * n), rho, n)
+        monkeypatch.setattr(losses_mod, "_tlog_scored", no_scorer)
+        out = prox_vector(TLOG, rho, n, y, y * v)
+    np.testing.assert_array_equal(out.view(np.int64), expected.view(np.int64))
+    np.testing.assert_allclose(y * out, v, rtol=1e-12)
+
+
 def test_band_scorer_sees_few_anchors_on_a_t2_draw(monkeypatch):
     # The pl2 and tlog tables rescore only anchors in their narrow bands:
     # on one draw of the t2 protocol their scorers see under 5% of the

@@ -508,6 +508,26 @@ def test_load_rejects_truncated_file(tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize("rows, message", [
+    (["0.5 1.0 2.0", "1.5 0.5 -1.0"], "unexpected end of file, expected data row 3 of {n}"),
+    (["0.5 1.0 2.0", "1.5 x -1.0"], "line 13: expected numbers, got ['1.5', 'x', '-1.0']"),
+])
+def test_load_trusts_no_data_count_beyond_the_rows(tmp_path, rows, message):
+    # A data line that promises 10**12 rows over 2 reads the 2 and then
+    # reports the end of the file (or the bad row before it), allocating
+    # nothing by the count.
+    n = 10**12
+    model = toy_model(coeffs=(2.0, -1.0), inputs=((0.5, 1.0), (1.5, 0.5)))
+    path = tmp_path / "model.txt"
+    save_model(model, str(path))
+    lines = path.read_text().splitlines()
+    assert lines[-3] == "data 2 2"
+    path.write_text("\n".join(lines[:-3] + [f"data {n} 2"] + rows) + "\n")
+    with pytest.raises(ParseError) as exc:
+        load_model(str(path))
+    assert str(exc.value) == f"{path}: " + message.format(n=n)
+
+
 def test_load_rejects_trailing_content(tmp_path):
     path = write_model_file(tmp_path, lambda ls: ls + ["0.0 0.0 0.0"])
     with pytest.raises(ParseError, match="trailing content"):
