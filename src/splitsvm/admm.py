@@ -78,7 +78,7 @@ from scipy.linalg.blas import dsymv
 from scipy.linalg.lapack import dpotri
 
 from ._io import write_text_atomic
-from .errors import DefinitenessError, InputError, check_integers
+from .errors import DefinitenessError, InputError, check_integers, check_labels
 from .kernels import LOWER, GramMatrix, shifted_cholesky
 from .losses import MarginLoss, margin_value, prox_vector
 
@@ -257,7 +257,9 @@ def admm_step(loss: MarginLoss, labels, cfg: AdmmConfig, st: AdmmState, inverse)
     ``st`` holds one start (1-D arrays) or a block of starts (N x S arrays,
     one per column; admm_run's are Fortran-ordered, and a block in another
     layout steps to the same values), and ``labels`` has shape (N,) for one
-    start and (N, 1) for a block, else InputError.  ``inverse`` is
+    start and (N, 1) for a block, else InputError.  Each label must be +1 or
+    -1, as for prox_vector; a step, run every iteration, does not check
+    that (admm_run does, once).  ``inverse`` is
     c_inverse(A, cfg).  The elementwise work runs on the whole block, and
     each column's c-solve is its own symv call, so a column's iterate does
     not depend on the other columns.  Reads A c from ``st.ac``
@@ -293,13 +295,23 @@ def _psd_form(q: float) -> float:
     return max(q, 0.0)
 
 
+def _checked_labels(labels, A: GramMatrix) -> np.ndarray:
+    """``labels`` as a float (N,) vector of +1 and -1, else InputError."""
+    labels = np.asarray(labels, dtype=float)
+    if labels.shape != (A.size,):
+        raise InputError("labels must match the kernel matrix size")
+    check_labels(labels)
+    return labels
+
+
 def stationarity_residual(loss, labels, A: GramMatrix, cfg: AdmmConfig, st: AdmmState) -> float:
     """Max-norm violation of the fixed-point equations at a state.
 
     Zero exactly when alpha = A c and alpha solves the subproblems anchored
     at A c - gamma / rho, i.e. when the state is a stationary point.
+    ``labels`` must be an (N,) vector of +1 and -1, else InputError.
     """
-    labels = np.asarray(labels, dtype=float)
+    labels = _checked_labels(labels, A)
     ac = a_dot(A, st.c)
     split = float(np.max(np.abs(st.alpha - ac)))
     anchors = ac - (2.0 * cfg.lam * st.c) / cfg.rho
@@ -337,13 +349,16 @@ def admm_run(loss: MarginLoss, labels, A: GramMatrix, cfg: AdmmConfig, inits,
     ``inverse`` is c_inverse(A, cfg), built here when not given.  Nothing
     here reads the rho condition: train_multistart checks descent on the
     finished traces.  Raises DefinitenessError when 2 lam I + rho A is not
-    positive definite, and InputError when ``inits`` is empty, a start's
+    positive definite, and InputError when ``labels`` is not an (N,) vector
+    of +1 and -1, ``inverse`` is not N x N, ``inits`` is empty, a start's
     arrays are not of shape (N,) or a start is not at iteration 0 (every
-    start comes from initial_state).
+    start comes from initial_state).  This is the one place a run's label
+    values and inverse are checked: admm_step and prox_vector, which run
+    every iteration, take them as given.
     """
-    labels = np.asarray(labels, dtype=float)
-    if labels.shape != (A.size,):
-        raise InputError("labels must match the kernel matrix size")
+    labels = _checked_labels(labels, A)
+    if inverse is not None and np.shape(inverse) != (A.size, A.size):
+        raise InputError("inverse does not match the kernel matrix size")
     if not inits:
         raise InputError("admm_run needs at least one start")
     for j, s in enumerate(inits):
@@ -356,11 +371,10 @@ def admm_run(loss: MarginLoss, labels, A: GramMatrix, cfg: AdmmConfig, inits,
     y = labels[:, None]
     if inverse is None:
         inverse = c_inverse(A, cfg)
-    # Every loss has 0 <= L(z) <= 2 + |z|, so with labels in [-1, 1] the
+    # Every loss has 0 <= L(z) <= 2 + |z|, so with labels of +-1 the
     # objective F(A c) + lam c^T A c is finite when every |(A c)_i| <= 1e150
     # and |lam c^T A c| <= 1e300.  Where that bound fails or reads NaN, the
     # objective is formed and tested itself.
-    bounded = bool(np.all(np.abs(labels) <= 1.0))
 
     def block(arrays):
         return np.array(arrays, dtype=float).T
@@ -379,7 +393,7 @@ def admm_run(loss: MarginLoss, labels, A: GramMatrix, cfg: AdmmConfig, inits,
             # in a Fortran-ordered N x 2S block.
             risks = _risk(loss, y, np.concatenate((st.alpha.T, st.ac.T)).T)
             risk_alpha, risk_ac = risks[:len(starts)], risks[len(starts):]
-        elif bounded:
+        else:
             ac_max = np.abs(st.ac).max(axis=0).tolist()
         columns = zip(st.alpha.T, st.c.T, st.ac.T, (st.alpha - st.ac).T, (st.c - prev.c).T,
                       (st.ac - prev.ac).T)
@@ -402,7 +416,7 @@ def admm_run(loss: MarginLoss, labels, A: GramMatrix, cfg: AdmmConfig, inits,
                 continue
             cac = float(c.dot(ac))
             lam_cac = cfg.lam * cac
-            if (not (record or checked) and bounded and math.isfinite(resid)
+            if (not (record or checked) and math.isfinite(resid)
                     and ac_max[i] <= 1e150 and abs(lam_cac) <= 1e300):
                 continue  # a finite objective, and nothing to record
             obj = (risk_ac[i] if record and not checked else _risk(loss, labels, ac)) + lam_cac

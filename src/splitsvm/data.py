@@ -17,7 +17,7 @@ from itertools import chain
 import numpy as np
 
 from ._io import float_cells, open_text, write_text_atomic
-from .errors import InputError, ParseError, check_integers
+from .errors import InputError, ParseError, check_integers, check_labels
 
 _LABELS = {"1": 1.0, "+1": 1.0, "-1": -1.0}
 
@@ -36,8 +36,7 @@ class Dataset:
             raise InputError("labels must be a vector matching the number of rows")
         if not np.all(np.isfinite(self.X)):
             raise InputError("features must be finite")
-        if not np.all(np.isin(self.y, (1.0, -1.0))):
-            raise InputError("labels must be +1 or -1")
+        check_labels(self.y)
 
     @property
     def n(self) -> int:

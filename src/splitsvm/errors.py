@@ -2,6 +2,8 @@
 
 import numbers
 
+import numpy as np
+
 
 class SplitSvmError(Exception):
     """Base class for every error raised by this package."""
@@ -36,3 +38,9 @@ def check_integers(**values) -> None:
     for name, value in values.items():
         if not isinstance(value, numbers.Integral):
             raise InputError(f"{name} must be an integer, got {value!r}")
+
+
+def check_labels(labels) -> None:
+    """InputError unless every entry of the array ``labels`` is +1 or -1."""
+    if not np.all(np.abs(labels) == 1.0):
+        raise InputError("labels must be +1 or -1")

@@ -44,11 +44,7 @@ class ConvergenceResult:
 def convergence_trace(seed: int, max_iter: int = 10000) -> ConvergenceResult:
     """Single-start diagnostic run on the 300-point synthetic set."""
     train, _ = generate_synthetic(300, 120, seed)
-    # The protocol parameters sit below the descent threshold on purpose;
-    # skip the eigenvalue check instead of warning about a known choice.
-    cfg = AdmmConfig(
-        lam=0.1, rho=0.05, eps0=1e-12, max_iter=max_iter, enforce_rho_condition="off"
-    )
+    cfg = AdmmConfig(lam=0.1, rho=0.05, eps0=1e-12, max_iter=max_iter)
     A = gram(KernelSpec("gaussian", 1.0), train.X)
     loss = get_loss("tlog")
     init = initial_state(A, np.random.default_rng(seed))

@@ -30,8 +30,10 @@ within sqrt(4 TIE_TOL / rho) of an interval edge (for tlog, of
 every other candidate by at least twice TIE_TOL, so the table gives the
 scorer's bits without evaluating a log.  The tlog table and scorer take
 the root of the log piece from one helper, which factors it below -1e150,
-so the table serves those far anchors as well.  Where the tables are not
-derived, pl2 and tlog score every anchor, and ramp for h >= 2 scores
+so the table serves those far anchors as well.  Past about +-1.3e154 a
+square in that root or in a scorer's objective overflows to inf, which
+loses as it should, and numpy does not warn of it.  Where the tables are
+not derived, pl2 and tlog score every anchor, and ramp for h >= 2 scores
 through the same affine-piece scorer as pl2.  The tables assume finite
 margins: prox_vector alone makes an infinite anchor its own minimizer.
 The tests check every table against an enumerator over the pieces
@@ -89,13 +91,14 @@ def _affine_prox(a_neg, s_neg, a_mid, s_mid):
         z_neg = np.minimum(v + s_neg * h, 0.0)
         z_mid = np.minimum(np.maximum(v + s_mid * h, 0.0), 1.0)
         z_flat = np.maximum(v, 1.0)
-        vals = (
-            (a_neg - s_neg * z_neg) / n + c * (z_neg - v) ** 2,
-            (a_mid - s_mid * z_mid) / n + c * (z_mid - v) ** 2,
-            c * (z_flat - v) ** 2,
-            a_mid / n + c * v ** 2,
-            c * (1.0 - v) ** 2,
-        )
+        with np.errstate(over="ignore"):  # an objective of inf loses, as it should
+            vals = (
+                (a_neg - s_neg * z_neg) / n + c * (z_neg - v) ** 2,
+                (a_mid - s_mid * z_mid) / n + c * (z_mid - v) ** 2,
+                c * (z_flat - v) ** 2,
+                a_mid / n + c * v ** 2,
+                c * (1.0 - v) ** 2,
+            )
         return _smallest_tied(y, (z_neg, z_mid, z_flat, 0.0, 1.0), vals)
 
     return prox
@@ -108,14 +111,17 @@ _ramp_wide_prox = _affine_prox(1.0, 0.0, 1.0, 1.0)
 def _tlog_root(v, h):
     """sqrt((2 - v)^2 - 4h), 0 where that discriminant is negative, and the
     mask of those anchors (no_root): the log piece's stationary points are
-    ((2 + v) -+ root) / 2.  Below -1e150 (2 - v)^2 nears overflow and then
-    swamps 4h: 2 - v > 0 is factored out of the root there."""
-    disc = (2.0 - v) ** 2 - 4.0 * h
-    root = np.sqrt(np.maximum(disc, 0.0))
-    far = v < -1e150
-    if far.any():
-        d = np.where(far, 2.0 - v, 1.0)
-        root = np.where(far, d * np.sqrt(1.0 - 4.0 * h / d ** 2), root)
+    ((2 + v) -+ root) / 2.  Past +-1e150 (2 - v)^2 may overflow to inf,
+    which swamps 4h as the exact square would, with no warning.  Below
+    -1e150, 2 - v > 0 is factored out of the root."""
+    if not (np.abs(v) > 1e150).any():
+        disc = (2.0 - v) ** 2 - 4.0 * h
+        return np.sqrt(np.maximum(disc, 0.0)), disc < 0.0
+    with np.errstate(over="ignore"):
+        disc = (2.0 - v) ** 2 - 4.0 * h
+        far = v < -1e150
+        d = np.where(far, 2.0 - v, np.inf)  # inf keeps the unused roots real
+        root = np.where(far, d * np.sqrt(1.0 - 4.0 * h / d ** 2), np.sqrt(np.maximum(disc, 0.0)))
     return root, disc < 0.0
 
 
@@ -128,12 +134,13 @@ def _tlog_scored(y, v, h, rho, n):
     z_small = np.minimum(np.where(no_root, 1.0, 0.5 * (s - root)), 1.0)
     z_large = np.minimum(np.where(no_root, 1.0, 0.5 * (s + root)), 1.0)
     z_flat = np.maximum(v, 1.0)
-    vals = (
-        np.log(2.0 - z_small) / n + c * (z_small - v) ** 2,
-        np.log(2.0 - z_large) / n + c * (z_large - v) ** 2,
-        c * (z_flat - v) ** 2,
-        c * (1.0 - v) ** 2,
-    )
+    with np.errstate(over="ignore"):  # an objective of inf loses, as it should
+        vals = (
+            np.log(2.0 - z_small) / n + c * (z_small - v) ** 2,
+            np.log(2.0 - z_large) / n + c * (z_large - v) ** 2,
+            c * (z_flat - v) ** 2,
+            c * (1.0 - v) ** 2,
+        )
     return _smallest_tied(y, (z_small, z_large, z_flat, 1.0), vals)
 
 
@@ -245,7 +252,11 @@ def prox_vector(loss, rho, n, labels, anchors) -> np.ndarray:
     """Elementwise subproblem solutions, by each loss's closed form.
 
     ``labels`` and ``anchors`` are broadcast-compatible arrays; the result
-    has their common shape.  The pl2, tlog and wide (h >= 2) ramp tables
+    has their common shape.  Every label must be +1 or -1: each subproblem
+    is solved in the margin z = y a, a change of variable only for y = +-1.
+    That is checked once per run, by admm.admm_run, not here on every
+    iteration; another label gives a wrong minimizer (labels 0 at anchors
+    3 and -3 give 0 and 0).  The pl2, tlog and wide (h >= 2) ramp tables
     follow the TIE_TOL smallest-minimizer rule exactly, the pl2 and tlog
     ones by scoring the anchors in their bands.  The hinge and ramp
     branch tables follow it too, except on anchors whose candidates are

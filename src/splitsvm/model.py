@@ -250,8 +250,6 @@ def train_multistart(
         rho_check = rho_condition(A, cfg)
     if inverse is None:
         inverse = c_inverse(A, cfg)
-    elif np.shape(inverse) != (A.size, A.size):
-        raise InputError("inverse does not match the kernel matrix size")
     inits = [initial_state(A, np.random.default_rng(seed + s)) for s in range(starts)]
 
     # The descent monitor reads every start's whole trace.

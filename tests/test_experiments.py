@@ -76,8 +76,7 @@ def test_convergence_trace_smoke():
     assert result.loss_name == "tlog"
     assert result.train.n == 300
     assert result.gram.size == 300
-    assert result.cfg.rho == 0.05
-    assert result.cfg.enforce_rho_condition == "off"
+    assert (result.cfg.lam, result.cfg.rho) == (0.1, 0.05)
     assert len(result.run.trace) == 3
     recs = result.run.trace.records
     assert [r.k for r in recs] == [1, 2, 3]

@@ -185,6 +185,21 @@ def test_infinite_anchor_gives_the_anchor(loss):
         np.testing.assert_array_equal(out, [inf, inf, -inf, -inf, nan, nan])
 
 
+@pytest.mark.parametrize("rho", [1.0, 1e-3], ids=["table", "scorer"])
+@pytest.mark.parametrize("loss", ALL_LOSSES, ids=lambda l: l.name)
+def test_far_anchor_gives_the_anchor_without_a_warning(loss, rho):
+    # Past about 1.3e154 a square overflows to inf.  At n = 300, rho 1 gives
+    # every loss its table and rho 1e-3 (h = 10/3) sends pl2, tlog and ramp
+    # to their scorers; an objective of inf there loses, as it should, and
+    # numpy warns of nothing.
+    anchors = np.array([1e300, -1e300, 2e154, -2e154])
+    for label in (1.0, -1.0):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = prox_vector(loss, rho, 300, np.full(4, label), anchors)
+        np.testing.assert_array_equal(out, anchors)
+
+
 @pytest.mark.parametrize("loss", ALL_LOSSES, ids=lambda l: l.name)
 def test_infinite_anchor_matches_enumerator(loss, rng):
     # Infinite anchors mixed into finite ones, in both h regimes: every
@@ -447,10 +462,9 @@ def test_tlog_table_serves_far_anchors(monkeypatch):
     def no_scorer(*args):
         raise AssertionError("the tlog scorer ran")
 
-    with np.errstate(over="ignore"):  # (2 - v)^2, which the factored root replaces
-        expected = losses_mod._tlog_scored(y, v, 1.0 / (rho * n), rho, n)
-        monkeypatch.setattr(losses_mod, "_tlog_scored", no_scorer)
-        out = prox_vector(TLOG, rho, n, y, y * v)
+    expected = losses_mod._tlog_scored(y, v, 1.0 / (rho * n), rho, n)
+    monkeypatch.setattr(losses_mod, "_tlog_scored", no_scorer)
+    out = prox_vector(TLOG, rho, n, y, y * v)
     np.testing.assert_array_equal(out.view(np.int64), expected.view(np.int64))
     np.testing.assert_allclose(y * out, v, rtol=1e-12)
 

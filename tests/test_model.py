@@ -223,7 +223,7 @@ def test_multistart_accepts_a_shared_inverse(small_split, monkeypatch):
                               inverse=inverse)
     np.testing.assert_array_equal(m1.coeffs, m2.coeffs)
     assert [(s.iterations, s.objective) for s in s1] == [(s.iterations, s.objective) for s in s2]
-    with pytest.raises(InputError, match="inverse does not match"):
+    with pytest.raises(InputError, match="^inverse does not match the kernel matrix size$"):
         train_multistart(train, spec, TLOG, cfg, starts=1, seed=3, gram_matrix=A,
                          inverse=np.eye(3))
 
