@@ -114,7 +114,8 @@ def _tlog_root(v, h):
     ((2 + v) -+ root) / 2.  Past +-1e150 (2 - v)^2 may overflow to inf,
     which swamps 4h as the exact square would, with no warning.  Below
     -1e150, 2 - v > 0 is factored out of the root."""
-    if not (np.abs(v) > 1e150).any():
+    # The largest |v|, NaN skipped (fmax), is one reduction on the hot path.
+    if not np.fmax.reduce(np.abs(v), axis=None, initial=0.0) > 1e150:
         disc = (2.0 - v) ** 2 - 4.0 * h
         return np.sqrt(np.maximum(disc, 0.0)), disc < 0.0
     with np.errstate(over="ignore"):

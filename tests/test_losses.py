@@ -191,12 +191,12 @@ def test_far_anchor_gives_the_anchor_without_a_warning(loss, rho):
     # Past about 1.3e154 a square overflows to inf.  At n = 300, rho 1 gives
     # every loss its table and rho 1e-3 (h = 10/3) sends pl2, tlog and ramp
     # to their scorers; an objective of inf there loses, as it should, and
-    # numpy warns of nothing.
-    anchors = np.array([1e300, -1e300, 2e154, -2e154])
+    # numpy warns of nothing, with a NaN anchor beside them too.
+    anchors = np.array([1e300, -1e300, 2e154, -2e154, math.nan])
     for label in (1.0, -1.0):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = prox_vector(loss, rho, 300, np.full(4, label), anchors)
+            out = prox_vector(loss, rho, 300, np.full(5, label), anchors)
         np.testing.assert_array_equal(out, anchors)
 
 
