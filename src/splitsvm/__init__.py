@@ -20,7 +20,7 @@ from .errors import (
     SplitSvmError,
     TrainingError,
 )
-from .kernels import GramMatrix, KernelSpec, gram, min_eigenvalue
+from .kernels import GramMatrix, KernelSpec, gram
 from .losses import (
     HINGE,
     LOSSES,
@@ -37,6 +37,7 @@ from .model import (
     TrainedModel,
     decision_values,
     load_model,
+    min_eigenvalue,
     predict_labels,
     rho_condition,
     save_model,

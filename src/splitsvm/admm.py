@@ -104,10 +104,8 @@ class AdmmConfig:
         if self.max_iter < 1:
             raise InputError(f"iteration cap must be at least 1, got {self.max_iter}")
         if self.enforce_rho_condition not in RHO_POLICIES:
-            raise InputError(
-                f"enforce_rho_condition must be one of {RHO_POLICIES}, "
-                f"got {self.enforce_rho_condition!r}"
-            )
+            raise InputError(f"enforce_rho_condition must be one of {RHO_POLICIES}, "
+                             f"got {self.enforce_rho_condition!r}")
 
 
 @dataclass

@@ -136,11 +136,8 @@ def cmd_train(args: argparse.Namespace) -> int:
     A = gram(spec, train.X)
 
     check = rho_condition(A, cfg)
-    if check.threshold is not None:
-        print(f"rho condition: rho = {cfg.rho:g} vs threshold {check.threshold_text} "
-              f"({check.status})")
-    elif check.detail:
-        print(f"rho condition: {check.status} ({check.detail})")
+    if (line := check.line(cfg.rho)) is not None:
+        print(line)
 
     loss = get_loss(args.loss)
     model, summaries = train_multistart(

@@ -94,9 +94,8 @@ def _table_row(train, test, spec, loss, cfg, starts, seed, gram_matrix=None,
 def loss_kernel_table(seed: int, starts: int = 20, max_iter: int = 10000):
     """Accuracy of every loss/kernel pair on one 300/120 synthetic split."""
     train, test = generate_synthetic(300, 120, seed)
-    cfg = AdmmConfig(
-        lam=0.5, rho=5.0, eps0=1e-12, max_iter=max_iter, enforce_rho_condition="off"
-    )
+    cfg = AdmmConfig(lam=0.5, rho=5.0, eps0=1e-12, max_iter=max_iter,
+                     enforce_rho_condition="off")
     rows = []
     for family, sigma in (("gaussian", 2.0), ("matern1", 1.0)):
         spec = KernelSpec(family, sigma)
@@ -118,9 +117,8 @@ def size_scaling_table(
     for n in sizes:
         if n < 5 or (2 * n) % 5 != 0:
             raise InputError(f"train size {n} does not give an even 40% test size")
-    cfg = AdmmConfig(
-        lam=0.1, rho=1.0, eps0=1e-12, max_iter=max_iter, enforce_rho_condition="off"
-    )
+    cfg = AdmmConfig(lam=0.1, rho=1.0, eps0=1e-12, max_iter=max_iter,
+                     enforce_rho_condition="off")
     spec = KernelSpec("gaussian", 1.0)
     loss = get_loss("pl2")
     rows = []

@@ -13,11 +13,10 @@ make it singular, so they are rejected.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
 from scipy.linalg.lapack import dpotrf
 from scipy.spatial.distance import cdist, pdist, squareform
 
-from .errors import DefinitenessError, DuplicatePointError, InputError
+from .errors import DuplicatePointError, InputError
 
 KERNEL_FAMILIES = ("gaussian", "matern1")
 
@@ -64,8 +63,8 @@ class GramMatrix:
 
 #: The triangle that every symmetric BLAS and LAPACK call reads, of A and of
 #: the inverse of 2 lam I + rho A (admm.a_dot, c_inverse, c_solve,
-#: min_eigenvalue, leading_eigenvalue and shifted_cholesky): False, the
-#: upper one in the Fortran view entries.T.
+#: model.leading_eigenvalue and shifted_cholesky): False, the upper one in
+#: the Fortran view entries.T.
 LOWER = False
 
 
@@ -108,42 +107,6 @@ def gram(spec: KernelSpec, points) -> GramMatrix:
     entries = squareform(_kernel_of_distances(spec, cond))
     np.fill_diagonal(entries, 1.0)
     return GramMatrix(entries)
-
-
-def noise_floor(A: GramMatrix) -> float:
-    """size * eps * max|A|: an eigenvalue at or below it is rounding noise."""
-    m = A.entries
-    return A.size * float(np.finfo(float).eps) * max(float(m.max()), -float(m.min()))
-
-
-def leading_eigenvalue(A: GramMatrix, k: int) -> float:
-    """Smallest eigenvalue of the leading k x k minor of A, unchecked.
-
-    LAPACK's dsyevr (scipy.linalg.eigh) asked for that eigenvalue alone.  It
-    reads the triangle LOWER names in the Fortran view A.entries.T, as
-    admm.a_dot does, so LAPACK's working copy is not transposed.
-    """
-    return float(eigh(A.entries.T[:k, :k], lower=LOWER, eigvals_only=True,
-                      subset_by_index=[0, 0], driver="evr", check_finite=False)[0])
-
-
-def min_eigenvalue(A: GramMatrix) -> float:
-    """Smallest eigenvalue of a symmetric positive definite matrix.
-
-    leading_eigenvalue of the whole matrix.  Raises DefinitenessError when
-    it is not positive, or falls at or below noise_floor(A), in which case
-    A cannot be certified positive definite at working precision.
-    """
-    floor = noise_floor(A)
-    w = leading_eigenvalue(A, A.size)
-    if not w > 0:
-        raise DefinitenessError(f"matrix is not positive definite: smallest eigenvalue {w:.3e}")
-    if not w > floor:
-        raise DefinitenessError(
-            f"smallest eigenvalue {w:.3e} is at or below the numerical noise "
-            f"floor {floor:.3e}; matrix is numerically singular"
-        )
-    return w
 
 
 def shifted_cholesky(A: GramMatrix, scale: float, shift: float):

@@ -1,4 +1,5 @@
-"""Trained classifiers: prediction, multi-start training, persistence.
+"""Trained classifiers: prediction, multi-start training, persistence, and
+the descent question, whether rho > 4 lam / lambda_min(A).
 
 A trained model is the coefficient vector of a kernel expansion
 s(x) = sum_i c_i k(x_i, x); the predicted label is the sign of s(x) with
@@ -16,6 +17,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import eigh
 
 from ._io import float_cells, open_text, write_text_atomic
 from .admm import AdmmConfig, IterationTrace, admm_run, c_inverse, initial_state
@@ -28,16 +30,7 @@ from .errors import (
     TrainingError,
     check_integers,
 )
-from .kernels import (
-    GramMatrix,
-    KernelSpec,
-    cross_gram,
-    gram,
-    leading_eigenvalue,
-    min_eigenvalue,
-    noise_floor,
-    shifted_cholesky,
-)
+from .kernels import LOWER, GramMatrix, KernelSpec, cross_gram, gram, shifted_cholesky
 from .losses import LOSSES, MarginLoss
 
 FORMAT_NAME = "splitsvm-model"
@@ -137,8 +130,51 @@ class RhoCondition:
 
     @property
     def threshold_text(self) -> str:
-        """"4*lam/lambda_min = t", or ">= t" for a bound, to 3 digits."""
+        """"4*lam/lambda_min = t", or ">= t" for a bound, to 3 digits, or "not computed"."""
+        if self.threshold is None:
+            return "4*lam/lambda_min not computed"
         return f"4*lam/lambda_min {'>=' if self.minor else '='} {self.threshold:#.3g}"
+
+    def line(self, rho: float) -> str | None:
+        """train's "rho condition: ..." line on ``rho``; None for "not checked"."""
+        if self.threshold is not None:
+            return (f"rho condition: rho = {rho:g} vs threshold {self.threshold_text} "
+                    f"({self.status})")
+        return f"rho condition: {self.status} ({self.detail})" if self.detail else None
+
+
+def noise_floor(A: GramMatrix) -> float:
+    """size * eps * max|A|: an eigenvalue at or below it is rounding noise."""
+    m = A.entries
+    return A.size * float(np.finfo(float).eps) * max(float(m.max()), -float(m.min()))
+
+
+def leading_eigenvalue(A: GramMatrix, k: int) -> float:
+    """Smallest eigenvalue of the leading k x k minor of A, unchecked.
+
+    LAPACK's dsyevr (scipy.linalg.eigh) asked for that eigenvalue alone.  It
+    reads the triangle LOWER names in the Fortran view A.entries.T, as
+    admm.a_dot does, so LAPACK's working copy is not transposed.
+    """
+    return float(eigh(A.entries.T[:k, :k], lower=LOWER, eigvals_only=True,
+                      subset_by_index=[0, 0], driver="evr", check_finite=False)[0])
+
+
+def min_eigenvalue(A: GramMatrix) -> float:
+    """Smallest eigenvalue of a symmetric positive definite matrix.
+
+    leading_eigenvalue of the whole matrix.  Raises DefinitenessError when
+    it is not positive, or falls at or below noise_floor(A), in which case
+    A cannot be certified positive definite at working precision.
+    """
+    floor = noise_floor(A)
+    w = leading_eigenvalue(A, A.size)
+    if not w > 0:
+        raise DefinitenessError(f"matrix is not positive definite: smallest eigenvalue {w:.3e}")
+    if not w > floor:
+        raise DefinitenessError(f"smallest eigenvalue {w:.3e} is at or below the numerical "
+                                f"noise floor {floor:.3e}; matrix is numerically singular")
+    return w
 
 
 def descent_minor(A: GramMatrix, lam: float, rho: float) -> int:
@@ -192,6 +228,18 @@ def rho_condition(A: GramMatrix, cfg: AdmmConfig) -> RhoCondition:
     return check
 
 
+def monitor_descent(runs) -> None:
+    """Warn, in the name of train_multistart's caller, at each Lagrangian rise
+    above DESCENT_SLACK in the full traces of admm_run's results, except at
+    the record a start diverged at."""
+    for run in runs:
+        for k, rise in run.trace.rises(DESCENT_SLACK):
+            if run.status != "diverged" or k < run.state.k:
+                warnings.warn(f"augmented Lagrangian rose by {rise:.3e} at iteration {k} "
+                              "despite rho clearing the descent threshold", RuntimeWarning,
+                              stacklevel=3)
+
+
 @dataclass
 class StartSummary:
     index: int
@@ -228,15 +276,13 @@ def train_multistart(
     index; a start that failed or diverged is never selected.
     ``rho_check`` is the verdict of rho_condition when the caller already
     has it; None computes it.  When it is "satisfied", every start runs
-    with its full trace, and each finished trace is checked for descent:
-    each Lagrangian rise above DESCENT_SLACK warns, start by start, except
-    at the record a start diverged at.  Returns (TrainedModel,
-    [StartSummary...]), and the model metadata records which start won.
-    With ``trace=True`` the chosen start's summary keeps its full
-    per-iteration trace; otherwise every summary's trace is None and, when
-    rho is not "satisfied", no start forms a Lagrangian or step norm before
-    its last iteration (admm_run's ``trace``).  The model and summaries are
-    otherwise the same bit for bit.
+    with its full trace, and monitor_descent checks each for descent.
+    Returns (TrainedModel, [StartSummary...]), and the model metadata
+    records which start won.  With ``trace=True`` the chosen start's
+    summary keeps its full per-iteration trace; otherwise every summary's
+    trace is None and, when rho is not "satisfied", no start forms a
+    Lagrangian or step norm before its last iteration (admm_run's
+    ``trace``).  The model and summaries are otherwise the same bit for bit.
     """
     check_integers(starts=starts, seed=seed)
     if starts < 1:
@@ -254,13 +300,8 @@ def train_multistart(
 
     # The descent monitor reads every start's whole trace.
     runs = admm_run(loss, data.y, A, cfg, inits, inverse, trace=trace or rho_check.ok)
-    if rho_check.ok:  # the descent monitor
-        for run in runs:
-            for k, rise in run.trace.rises(DESCENT_SLACK):
-                if run.status != "diverged" or k < run.state.k:
-                    warnings.warn(f"augmented Lagrangian rose by {rise:.3e} at iteration {k} "
-                                  "despite rho clearing the descent threshold", RuntimeWarning,
-                                  stacklevel=2)
+    if rho_check.ok:
+        monitor_descent(runs)
     summaries = []
     best = None
     for s, run in enumerate(runs):

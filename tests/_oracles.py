@@ -7,9 +7,10 @@ scores its candidates with its own loop over each loss's pieces, not with
 the expressions ``splitsvm.losses`` evaluates.  Kernel values, the training
 objective and the augmented Lagrangian are written out from their
 definitions with ``margin_value`` and plain numpy, not through the helpers
-``splitsvm.admm`` uses inside its loop.  The CSV references read a file
-row by row with ``float()`` on each cell and format each value on its own,
-as the data module once did.
+``splitsvm.admm`` uses inside its loop, and ``textbook_admm`` iterates
+from the definition of the method with none of them.  The CSV references
+read a file row by row with ``float()`` on each cell and format each value
+on its own, as the data module once did.
 """
 
 import csv
@@ -172,25 +173,66 @@ def candidate_margins(pw, v, h):
     return cands
 
 
+def _candidates(loss, rho, n, labels, anchors):
+    """Each element's candidate minimizers a on a last axis, with their
+    subproblem objectives."""
+    pw = PIECEWISE[loss.name]
+    y = np.asarray(labels, dtype=float)
+    v = y * np.asarray(anchors, dtype=float)
+    h = 1.0 / (rho * n)
+    with np.errstate(invalid="ignore"):  # inf - inf at an infinite anchor
+        zs = np.stack(candidate_margins(pw, v, h), axis=-1)
+        vals = piece_values(pw, zs) / n + 0.5 * rho * (zs - v[..., None]) ** 2
+    return y[..., None] * zs, vals
+
+
 def prox_enumerated(loss, rho, n, labels, anchors):
     """Exact elementwise subproblem solutions of a named loss by candidate
     enumeration over its pieces; ties within TIE_TOL go to the smallest a.
     An infinite anchor is its own minimizer, since the quadratic term
     outgrows every bounded loss."""
-    pw = PIECEWISE[loss.name]
-    y = np.asarray(labels, dtype=float)
     u = np.asarray(anchors, dtype=float)
-    h = 1.0 / (rho * n)
-    v = y * u
-    with np.errstate(invalid="ignore"):  # inf - inf at an infinite anchor
-        zs = np.stack(candidate_margins(pw, v, h), axis=-1)
-        vals = piece_values(pw, zs) / n + 0.5 * rho * (zs - v[..., None]) ** 2
-    alphas = y[..., None] * zs
+    alphas, vals = _candidates(loss, rho, n, labels, u)
     best = np.min(vals, axis=-1, keepdims=True)
     # A NaN anchor makes every objective NaN, so no candidate is dropped and
     # the NaN candidates carry through the minimum.
     a = np.min(np.where(vals > best + TIE_TOL, _INF, alphas), axis=-1)
     return np.where(np.isinf(u), u, a)
+
+
+def prox_tie_gap(loss, rho, n, labels, anchors):
+    """How near each element's subproblem is to a tie: the least amount by
+    which a candidate more than 1e-9 (relative) away from prox_enumerated's
+    minimizer misses the minimum objective; inf when there is none."""
+    alphas, vals = _candidates(loss, rho, n, labels, anchors)
+    a = prox_enumerated(loss, rho, n, labels, anchors)[..., None]
+    apart = np.abs(alphas - a) > 1e-9 * (1.0 + np.abs(a))
+    return np.min(np.where(apart, vals - np.min(vals, axis=-1, keepdims=True), _INF), axis=-1)
+
+
+def textbook_admm(loss, labels, A, cfg, c0, iterations):
+    """The ADMM iteration written out from its definition, sharing nothing
+    with ``splitsvm.admm``: from c0 with gamma = 2 lam c0, each iteration
+    takes alpha = prox_enumerated at the anchors A c - gamma / rho, solves
+    (2 lam I + rho A) c = rho alpha + gamma by one Cholesky factor, and
+    updates gamma += rho (alpha - A c) explicitly.  Products are
+    ``A.entries @ c``.  Returns the anchors, c and gamma of iterations
+    1..iterations, each as an (iterations, N) array."""
+    K = A.entries
+    n = K.shape[0]
+    factor = cho_factor(2.0 * cfg.lam * np.eye(n) + cfg.rho * K)
+    c = np.array(c0, dtype=float)
+    gamma = 2.0 * cfg.lam * c
+    anchors, cs, gammas = [], [], []
+    for _ in range(iterations):
+        u = K @ c - gamma / cfg.rho
+        alpha = prox_enumerated(loss, cfg.rho, n, labels, u)
+        c = cho_solve(factor, cfg.rho * alpha + gamma)
+        gamma = gamma + cfg.rho * (alpha - K @ c)
+        anchors.append(u)
+        cs.append(c)
+        gammas.append(gamma)
+    return np.array(anchors), np.array(cs), np.array(gammas)
 
 
 def dense_solve(matrix, b):

@@ -34,7 +34,7 @@ from splitsvm.admm import (
 from splitsvm.cli import main as cli_main
 from splitsvm.data import Dataset, FeatureScaling, generate_synthetic, load_csv
 from splitsvm.experiments import size_scaling_table
-from splitsvm.kernels import KernelSpec, gram, min_eigenvalue
+from splitsvm.kernels import KernelSpec, gram
 from splitsvm.losses import (
     HINGE,
     PL2,
@@ -43,7 +43,7 @@ from splitsvm.losses import (
     get_loss,
     prox_vector,
 )
-from splitsvm.model import predict_labels, rho_condition, train_multistart
+from splitsvm.model import min_eigenvalue, predict_labels, rho_condition, train_multistart
 
 
 def prox_one(loss, rho, n, label, anchor):

@@ -8,7 +8,13 @@ import pytest
 from scipy.linalg import eigh
 from scipy.linalg.lapack import dpotrf, dpotri
 
-from _oracles import cholesky_solver, lagrangian, objective_value
+from _oracles import (
+    cholesky_solver,
+    lagrangian,
+    objective_value,
+    prox_tie_gap,
+    textbook_admm,
+)
 from splitsvm.admm import (
     AdmmConfig,
     AdmmState,
@@ -27,19 +33,14 @@ from splitsvm.admm import (
 )
 from splitsvm.data import generate_synthetic
 from splitsvm.errors import DefinitenessError, InputError
-from splitsvm.kernels import (
-    LOWER,
-    GramMatrix,
-    KernelSpec,
-    gram,
-    min_eigenvalue,
-    noise_floor,
-)
+from splitsvm.kernels import LOWER, GramMatrix, KernelSpec, gram
 from splitsvm.losses import HINGE, PL2, RAMP, TLOG, margin_value
 from splitsvm.model import (
     DESCENT_SLACK,
     RhoCondition,
     descent_minor,
+    min_eigenvalue,
+    noise_floor,
     rho_condition,
     train_multistart,
 )
@@ -285,6 +286,48 @@ def test_multiplier_identity_after_every_step():
 # ---------------------------------------------------------------------------
 
 
+# The reference comparison: 60 points of t2's data (seed 7), t2's kernels,
+# lam and rho, and 100 iterations, fixed before the test first ran.  An eps0
+# no residual reaches keeps every start running to the cap.
+REFERENCE_ITERATIONS = 100
+REFERENCE_RTOL = 1e-10
+
+
+def relative_gap(c, ref):
+    """max|c - ref| / max|ref| over the last axis."""
+    return np.max(np.abs(c - ref), axis=-1) / np.max(np.abs(ref), axis=-1)
+
+
+@pytest.mark.parametrize("starts", [1, 3])
+@pytest.mark.parametrize("family, sigma", [("gaussian", 2.0), ("matern1", 1.0)])
+@pytest.mark.parametrize("loss", [HINGE, PL2, TLOG, RAMP], ids=lambda l: l.name)
+def test_run_follows_the_textbook_iteration(loss, family, sigma, starts):
+    # admm_run against textbook_admm, which shares none of its code.  Two
+    # trajectories may part where a nonconvex prox nearly ties: then the
+    # parting is reported and c is compared only before it.
+    train, _ = generate_synthetic(60, 2, 7)
+    A = gram(KernelSpec(family, sigma), train.X)
+    cfg = AdmmConfig(lam=0.5, rho=5.0, eps0=1e-300, max_iter=REFERENCE_ITERATIONS)
+    inits = [initial_state(A, np.random.default_rng(s)) for s in range(starts)]
+    runs = admm_run(loss, train.y, A, cfg, inits, trace=False)
+    for s, (init, run) in enumerate(zip(inits, runs)):
+        assert (run.status, run.state.k) == ("max_iter", REFERENCE_ITERATIONS)
+        anchors, cs, gammas = textbook_admm(loss, train.y, A, cfg, init.c, run.state.k)
+        # gamma = 2 lam c after every explicit multiplier update.
+        assert np.all(relative_gap(gammas, 2.0 * cfg.lam * cs) <= REFERENCE_RTOL)
+        if relative_gap(run.state.c, cs[-1]) <= REFERENCE_RTOL:
+            continue
+        part = next(k for k in range(1, run.state.k + 1)
+                    if relative_gap(admm_run(loss, train.y, A, replace(cfg, max_iter=k),
+                                             [init], trace=False)[0].state.c,
+                                    cs[k - 1]) > REFERENCE_RTOL)
+        gap = np.min(prox_tie_gap(loss, cfg.rho, A.size, train.y, anchors[part - 1]))
+        assert gap <= 1e-12, f"start {s} parts at iteration {part} with no near-tie"
+        warnings.warn(f"{loss.name}/{family}, start {s}: parts from the textbook iteration "
+                      f"at a prox near-tie (gap {gap:.1e}) at iteration {part}; compared "
+                      f"up to iteration {part - 1}", UserWarning)
+
+
 def test_run_stops_at_fixed_point():
     A, y = unit_instance()
     cfg = AdmmConfig(lam=1.0, rho=1.0, eps0=1e-12)
@@ -372,6 +415,8 @@ def train_with_lagrangians(monkeypatch, separated_instance, values, verdict, sta
         _, summaries = train_multistart(data, spec, HINGE, cfg, starts=starts, seed=3,
                                         gram_matrix=A, rho_check=verdict, trace=trace)
     assert next(values, None) is None
+    # The warnings name train_multistart's caller, this function.
+    assert {w.filename for w in caught} <= {__file__}
     return [(w.category, str(w.message)) for w in caught], summaries
 
 
@@ -489,6 +534,39 @@ def test_rho_policy_unverifiable_matrix():
     with pytest.warns(RuntimeWarning, match="could not verify"):
         check = rho_condition(indefinite, AdmmConfig(lam=0.1, rho=1.0))
     assert check.status == "not verifiable" and "not positive definite" in check.detail
+
+
+def test_verdict_texts_of_every_kind(separated_instance):
+    # threshold_text and train's line for each kind of verdict; a verdict
+    # without a threshold reads "not computed", and "not checked" prints no
+    # line.
+    _, _, A = separated_instance
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        verdicts = [
+            rho_condition(A, AdmmConfig(lam=0.5, rho=5.0)),
+            rho_condition(GramMatrix(np.diag([1.0, 0.5])), AdmmConfig(lam=0.1, rho=0.8)),
+            rho_condition(A, AdmmConfig(lam=0.5, rho=1.0)),
+            rho_condition(GramMatrix(np.ones((3, 3))), AdmmConfig(lam=1e-17, rho=1.0)),
+            rho_condition(GramMatrix(np.eye(3)),
+                          AdmmConfig(lam=0.1, rho=5.0, enforce_rho_condition="off")),
+        ]
+    _, exact, bound, unverifiable, _ = verdicts
+    assert [v.status for v in verdicts] == ["satisfied", "NOT satisfied", "NOT satisfied",
+                                            "not verifiable", "not checked"]
+    assert (exact.minor, exact.threshold, bound.minor) == (0, 0.8, 1)
+    t = 4.0 * 0.5 / min_eigenvalue(A)
+    assert [v.threshold_text for v in verdicts] == [
+        f"4*lam/lambda_min = {t:#.3g}", "4*lam/lambda_min = 0.800",
+        "4*lam/lambda_min >= 2.00", "4*lam/lambda_min not computed",
+        "4*lam/lambda_min not computed"]
+    assert [v.line(rho) for v, rho in zip(verdicts, (5.0, 0.8, 1.0, 1.0, 5.0))] == [
+        f"rho condition: rho = 5 vs threshold 4*lam/lambda_min = {t:#.3g} (satisfied)",
+        "rho condition: rho = 0.8 vs threshold 4*lam/lambda_min = 0.800 (NOT satisfied)",
+        "rho condition: rho = 1 vs threshold 4*lam/lambda_min >= 2.00 (NOT satisfied)",
+        f"rho condition: not verifiable ({unverifiable.detail})",
+        None]
+    assert unverifiable.detail.startswith("matrix is not positive definite")
 
 
 def known_spectrum(smallest, n=40, seed=5):

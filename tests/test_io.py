@@ -85,6 +85,8 @@ def test_removed_api_stays_removed():
     # The rho verdict and the descent monitor live in splitsvm.model.
     for name in ("RhoCondition", "DESCENT_SLACK"):
         assert not hasattr(splitsvm.admm, name), name
+    for name in ("noise_floor", "leading_eigenvalue", "min_eigenvalue", "eigh"):
+        assert not hasattr(splitsvm.kernels, name), name
     assert "rho_check" not in inspect.signature(splitsvm.admm_run).parameters
     assert "A" not in inspect.signature(splitsvm.admm_step).parameters
     for attr in ("admissible_at_zero", "pieces", "breakpoints"):

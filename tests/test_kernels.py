@@ -12,12 +12,9 @@ from splitsvm.kernels import (
     KernelSpec,
     cross_gram,
     gram,
-    leading_eigenvalue,
-    min_eigenvalue,
-    noise_floor,
     shifted_cholesky,
 )
-from splitsvm.model import descent_minor
+from splitsvm.model import descent_minor, leading_eigenvalue, min_eigenvalue, noise_floor
 
 
 def test_kernel_families():
