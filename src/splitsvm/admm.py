@@ -77,7 +77,6 @@ import numpy as np
 from scipy.linalg.blas import dsymv
 from scipy.linalg.lapack import dpotri
 
-from ._io import write_text_atomic
 from .errors import DefinitenessError, InputError, check_integers, check_labels
 from .kernels import LOWER, GramMatrix, shifted_cholesky
 from .losses import MarginLoss, margin_value, prox_vector
@@ -176,9 +175,6 @@ class IterationTrace:
                 row += f",{cum:.17g}"
             lines.append(row)
         return "\n".join(lines) + "\n"
-
-    def write_csv(self, path: str, extra_cumulative_step_norm: bool = False) -> None:
-        write_text_atomic(path, self.to_csv(extra_cumulative_step_norm))
 
 
 @dataclass

@@ -9,11 +9,13 @@ Subcommands:
 
 All hyperparameters are validated before any data is read, and output files
 are written atomically, so a failing invocation leaves no partial files.
-Exit status is 0 exactly when the command succeeded.
+Exit status is 0 exactly when the command succeeded.  Errors and warnings
+go to stderr as one line each, "error: ..." and "warning: ...".
 """
 
 import argparse
 import sys
+import warnings
 
 import numpy as np
 
@@ -161,7 +163,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     save_model(model, args.model_path)
     print(f"wrote model to {args.model_path}")
     if args.trace_path:
-        summaries[model.meta.start_index].trace.write_csv(args.trace_path)
+        write_text_atomic(args.trace_path, summaries[model.meta.start_index].trace.to_csv())
         print(f"wrote trace to {args.trace_path}")
     return 0
 
@@ -185,11 +187,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
     if args.table == "fig3":
-        result = experiments.convergence_trace(args.seed)
-        result.run.trace.write_csv(args.output_path, extra_cumulative_step_norm=True)
-        rec = result.run.trace.final
-        print(f"status: {result.run.status} after {result.run.state.k} iterations")
+        run, certificate = experiments.convergence_trace(args.seed)
+        write_text_atomic(args.output_path, run.trace.to_csv(extra_cumulative_step_norm=True))
+        rec = run.trace.final
+        print(f"status: {run.status} after {run.state.k} iterations")
         print(f"final residual: {rec.residual:.3e}, objective: {rec.objective:.12g}")
+        print(f"stationarity residual: {certificate:.3e}")
         print(f"wrote trace to {args.output_path}")
         return 0
     if args.table == "t2":
@@ -215,11 +218,16 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     args = parse_args(argv)
+    # One line a warning, as for errors; filters and attribution are untouched.
+    default_format = warnings.formatwarning
+    warnings.formatwarning = lambda message, *_: f"warning: {message}\n"
     try:
         return _COMMANDS[args.command](args)
     except (SplitSvmError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = default_format
 
 
 if __name__ == "__main__":

@@ -4,7 +4,8 @@ Three canned experiments over the two-overlapping-squares data:
 
 * ``convergence_trace``: a single run on 300 points (truncated-log loss,
   gaussian kernel sigma=1, lam=0.1, rho=0.05, eps0=1e-12) recording the
-  per-iteration diagnostics, including function-space step norms.
+  per-iteration diagnostics, including function-space step norms, and
+  the stationarity residual that certifies its last state a fixed point.
 * ``loss_kernel_table``: all four losses crossed with both kernels
   (gaussian sigma=2, laplacian-type sigma=1) on a 300/120 train/test split
   with lam=0.5, rho=5 and 20 starts; reports train/test accuracy.
@@ -18,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .admm import AdmmConfig, AdmmRunResult, admm_run, c_inverse, initial_state
+from .admm import AdmmConfig, admm_run, c_inverse, initial_state, stationarity_residual
 from .data import Dataset, generate_synthetic
 from .errors import DefinitenessError, InputError
-from .kernels import GramMatrix, KernelSpec, gram
+from .kernels import KernelSpec, gram
 from .losses import get_loss
 from .model import TrainedModel, predict_labels, train_multistart
 
@@ -32,26 +33,18 @@ def _accuracy(m: TrainedModel, ds: Dataset) -> float:
     return float(np.mean(predict_labels(m, ds.X) == ds.y))
 
 
-@dataclass
-class ConvergenceResult:
-    run: AdmmRunResult
-    gram: GramMatrix
-    train: Dataset
-    cfg: AdmmConfig
-    loss_name: str
-
-
-def convergence_trace(seed: int, max_iter: int = 10000) -> ConvergenceResult:
-    """Single-start diagnostic run on the 300-point synthetic set."""
+def convergence_trace(seed: int):
+    """Single-start diagnostic run on the 300-point synthetic set: its
+    AdmmRunResult and stationarity_residual at its last state."""
     train, _ = generate_synthetic(300, 120, seed)
-    cfg = AdmmConfig(lam=0.1, rho=0.05, eps0=1e-12, max_iter=max_iter)
+    cfg = AdmmConfig(lam=0.1, rho=0.05, eps0=1e-12)
     A = gram(KernelSpec("gaussian", 1.0), train.X)
     loss = get_loss("tlog")
     init = initial_state(A, np.random.default_rng(seed))
     (run,) = admm_run(loss, train.y, A, cfg, [init])
     if run.status == "failed":
         raise DefinitenessError(run.error)
-    return ConvergenceResult(run, A, train, cfg, loss.name)
+    return run, stationarity_residual(loss, train.y, A, cfg, run.state)
 
 
 @dataclass

@@ -451,8 +451,9 @@ def load_model(path: str) -> TrainedModel:
     loss_name = r.choice("loss", LOSSES)
     (rho,) = r.checked("rho", _positive, "positive and finite", 1).tolist()
     converged = r.choice("converged", ("0", "1")) == "1"
-    (residual,) = r.floats(*r.keyed("residual", 1))
-    (objective,) = r.floats(*r.keyed("objective", 1))
+    (residual,) = r.checked("residual", lambda v: (v >= 0) & np.isfinite(v),
+                            "non-negative and finite", 1).tolist()
+    (objective,) = r.checked("objective", np.isfinite, "finite", 1).tolist()
     (start_index,) = r.checked("start", lambda v: (v >= 0) & (v < 2**31) & (v == np.floor(v)),
                                "a non-negative integer", 1).tolist()
     scaling = None

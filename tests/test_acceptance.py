@@ -25,6 +25,7 @@ from _oracles import (
 )
 from splitsvm.admm import (
     AdmmConfig,
+    admm_run,
     admm_step,
     c_inverse,
     c_solve,
@@ -296,18 +297,27 @@ def test_c06_convergence_protocol():
 
     problems = []
     t0 = time.perf_counter()
-    result = convergence_trace(seed=0)
+    run, certificate = convergence_trace(seed=0)
     elapsed = time.perf_counter() - t0
-    run = result.run
     if run.status != "converged":
         problems.append(f"status {run.status}")
     if run.state.k > 500:
         problems.append(f"{run.state.k} iterations > 500")
     if elapsed >= 60.0:
         problems.append(f"{elapsed:.1f}s >= 60s")
-    sr = stationarity_residual(
-        get_loss(result.loss_name), result.train.y, result.gram, result.cfg, run.state
-    )
+    # The protocol's inputs, rebuilt here, pin its data, kernel, loss and
+    # hyperparameters: the certificate must be the residual on them, and a
+    # rerun on them must end where the run did.  At a fixed point the
+    # residual does not depend on rho, so only the rerun pins rho.
+    train, _ = generate_synthetic(300, 120, 0)
+    A = gram(KernelSpec("gaussian", 1.0), train.X)
+    cfg = AdmmConfig(lam=0.1, rho=0.05)
+    (rerun,) = admm_run(TLOG, train.y, A, cfg, [initial_state(A, np.random.default_rng(0))])
+    if not np.array_equal(rerun.state.c, run.state.c):
+        problems.append("a rerun on the protocol's inputs ends at another state")
+    sr = stationarity_residual(TLOG, train.y, A, cfg, run.state)
+    if sr != certificate:
+        problems.append(f"certificate {certificate!r} != stationarity residual {sr!r}")
     if not sr <= 1e-6:
         problems.append(f"stationarity residual {sr:.3e} > 1e-6")
     report(6, f"truncated-log protocol converged in {run.state.k} iterations "

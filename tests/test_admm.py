@@ -15,6 +15,7 @@ from _oracles import (
     prox_tie_gap,
     textbook_admm,
 )
+from splitsvm._io import write_text_atomic
 from splitsvm.admm import (
     AdmmConfig,
     AdmmState,
@@ -1254,5 +1255,5 @@ def test_trace_write_csv_round_trip(tmp_path):
     trace = IterationTrace()
     trace.append(1, 0.1, 0.1, 1e-2, 0.3)
     path = tmp_path / "trace.csv"
-    trace.write_csv(str(path))
+    write_text_atomic(str(path), trace.to_csv())
     assert path.read_text() == trace.to_csv()

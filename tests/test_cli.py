@@ -1,8 +1,12 @@
 import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
+import splitsvm
 from splitsvm.cli import main, parse_args
 from splitsvm.data import load_csv
 from splitsvm.model import load_model
@@ -228,6 +232,40 @@ def test_rho_threshold_is_printed_to_three_digits(tmp_path, capsys, data_files, 
     assert "7.00e+09" in error
 
 
+RHO_WARNING = ("rho = 5.0 is below the descent threshold, which is at least 18.1; "
+               "monotone descent is not guaranteed")
+
+
+def test_train_prints_each_warning_as_one_line(tmp_path, data_files):
+    # In a process of its own, where no filter turns the warning into an
+    # error: stderr holds "warning: <message>" and no source path or line.
+    train, _ = data_files
+    src = os.path.dirname(os.path.dirname(splitsvm.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "splitsvm.cli",
+         *train_args(train, tmp_path / "model.txt", "--max-iter", "1")],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert proc.returncode == 0
+    assert proc.stderr == f"warning: {RHO_WARNING}\n"
+
+
+def test_recorded_warnings_keep_their_text_and_attribution(tmp_path, data_files):
+    # main swaps the formatter only while a command runs; a caller that
+    # records warnings gets them as they are raised, naming cli.py.
+    train, _ = data_files
+    default_format = warnings.formatwarning
+    with pytest.warns(RuntimeWarning) as caught:
+        assert main(train_args(train, tmp_path / "model.txt", "--max-iter", "1")) == 0
+        assert warnings.formatwarning is default_format
+        assert main(train_args(train, tmp_path / "model.txt", "--check-rho", "error")) == 1
+        assert warnings.formatwarning is default_format
+    assert [str(w.message) for w in caught] == [RHO_WARNING]
+    assert os.path.basename(caught[0].filename) == "cli.py"
+
+
 def test_train_deterministic_model_bytes(tmp_path, data_files):
     train, _ = data_files
     p1 = tmp_path / "m1.txt"
@@ -328,6 +366,13 @@ def test_reproduce_fig3_writes_cumulative_trace(tmp_path, capsys):
     assert code == 0
     printed = capsys.readouterr().out
     assert "status: converged" in printed
+    # The certificate follows the final residual, on one line of its own.
+    out_lines = printed.splitlines()
+    final = [i for i, line in enumerate(out_lines) if line.startswith("final residual: ")]
+    assert len(final) == 1
+    label, value = out_lines[final[0] + 1].split(": ")
+    assert label == "stationarity residual" and value == f"{float(value):.3e}"
+    assert float(value) <= 1e-6
     lines = out_path.read_text().splitlines()
     assert lines[0] == "k,lagrangian,objective,residual,step_norm_H,cum_step_norm_H"
     cum = [float(l.split(",")[-1]) for l in lines[1:]]

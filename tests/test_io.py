@@ -67,6 +67,7 @@ def test_removed_api_stays_removed():
     import splitsvm
     import splitsvm.admm
     import splitsvm.data
+    import splitsvm.experiments
     import splitsvm.kernels
     import splitsvm.losses
     import splitsvm.model
@@ -87,6 +88,10 @@ def test_removed_api_stays_removed():
         assert not hasattr(splitsvm.admm, name), name
     for name in ("noise_floor", "leading_eigenvalue", "min_eigenvalue", "eigh"):
         assert not hasattr(splitsvm.kernels, name), name
+    # convergence_trace returns (run, certificate); traces are written from to_csv.
+    assert not hasattr(splitsvm.experiments, "ConvergenceResult")
+    assert not hasattr(splitsvm.admm.IterationTrace, "write_csv")
+    assert not hasattr(splitsvm.admm, "write_text_atomic")
     assert "rho_check" not in inspect.signature(splitsvm.admm_run).parameters
     assert "A" not in inspect.signature(splitsvm.admm_step).parameters
     for attr in ("admissible_at_zero", "pieces", "breakpoints"):

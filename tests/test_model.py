@@ -610,6 +610,10 @@ def saved_model_lines(tmp_path_factory):
     (4, "rho 0"),
     (4, "rho nan"),
     (5, "converged 2"),
+    (6, "residual -inf"),
+    (6, "residual -1"),
+    (7, "objective nan"),
+    (7, "objective inf"),
     (8, "start 2.7"),
     (8, "start -1"),
     (10, "means nan 0"),
