@@ -378,7 +378,7 @@ def admm_run(loss: MarginLoss, labels, A: GramMatrix, cfg: AdmmConfig, inits,
     starts = list(range(len(inits)))  # the start in each column of the block
     traces = [IterationTrace() for _ in inits]
     results = [None] * len(inits)
-    for _ in range(cfg.max_iter):
+    while starts:  # every column retires by the cap, when its status is "max_iter"
         prev, st = st, admm_step(loss, y, cfg, st, inverse)
         k = st.k
         record = trace or k == cfg.max_iter  # every column keeps this iteration's record
@@ -414,7 +414,8 @@ def admm_run(loss: MarginLoss, labels, A: GramMatrix, cfg: AdmmConfig, inits,
                     and ac_max[i] <= 1e150 and abs(lam_cac) <= 1e300):
                 continue  # a finite objective, and nothing to record
             obj = (risk_ac[i] if record and not checked else _risk(loss, labels, ac)) + lam_cac
-            status = error = None
+            status = "max_iter" if k == cfg.max_iter else None
+            error = None
             if not (math.isfinite(obj) and math.isfinite(resid)):
                 status = "diverged"
                 error = f"diverged at iteration {k} (objective {obj}, residual {resid})"
@@ -432,8 +433,4 @@ def admm_run(loss: MarginLoss, labels, A: GramMatrix, cfg: AdmmConfig, inits,
             # Indexing whole columns keeps the arrays Fortran-ordered.
             st = AdmmState(alpha=st.alpha[:, keep], c=st.c[:, keep], ac=st.ac[:, keep], k=st.k)
             starts = [starts[i] for i in keep]
-            if not starts:
-                break
-    for i, j in enumerate(starts):
-        results[j] = AdmmRunResult(_column_state(st, i), traces[j], "max_iter")
     return results

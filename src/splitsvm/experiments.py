@@ -28,6 +28,9 @@ from .model import TrainedModel, predict_labels, train_multistart
 
 LOSS_ORDER = ("hinge", "pl2", "tlog", "ramp")
 
+#: Starts per model in both tables.
+TABLE_STARTS = 20
+
 
 def _accuracy(m: TrainedModel, ds: Dataset) -> float:
     return float(np.mean(predict_labels(m, ds.X) == ds.y))
@@ -84,11 +87,10 @@ def _table_row(train, test, spec, loss, cfg, starts, seed, gram_matrix=None,
     )
 
 
-def loss_kernel_table(seed: int, starts: int = 20, max_iter: int = 10000):
+def loss_kernel_table(seed: int, starts: int = TABLE_STARTS):
     """Accuracy of every loss/kernel pair on one 300/120 synthetic split."""
     train, test = generate_synthetic(300, 120, seed)
-    cfg = AdmmConfig(lam=0.5, rho=5.0, eps0=1e-12, max_iter=max_iter,
-                     enforce_rho_condition="off")
+    cfg = AdmmConfig(lam=0.5, rho=5.0, eps0=1e-12, enforce_rho_condition="off")
     rows = []
     for family, sigma in (("gaussian", 2.0), ("matern1", 1.0)):
         spec = KernelSpec(family, sigma)
@@ -100,24 +102,18 @@ def loss_kernel_table(seed: int, starts: int = 20, max_iter: int = 10000):
     return rows
 
 
-def size_scaling_table(
-    seed: int,
-    sizes=(100, 200, 300, 400, 500, 600, 700, 800, 900, 1000),
-    starts: int = 20,
-    max_iter: int = 10000,
-):
+def size_scaling_table(seed: int, sizes=(100, 200, 300, 400, 500, 600, 700, 800, 900, 1000)):
     """Train-size sweep; test sets are 40% of the training size."""
     for n in sizes:
         if n < 5 or (2 * n) % 5 != 0:
             raise InputError(f"train size {n} does not give an even 40% test size")
-    cfg = AdmmConfig(lam=0.1, rho=1.0, eps0=1e-12, max_iter=max_iter,
-                     enforce_rho_condition="off")
+    cfg = AdmmConfig(lam=0.1, rho=1.0, eps0=1e-12, enforce_rho_condition="off")
     spec = KernelSpec("gaussian", 1.0)
     loss = get_loss("pl2")
     rows = []
     for idx, n in enumerate(sizes):
         train, test = generate_synthetic(n, (2 * n) // 5, seed + idx)
-        rows.append(_table_row(train, test, spec, loss, cfg, starts, seed))
+        rows.append(_table_row(train, test, spec, loss, cfg, TABLE_STARTS, seed))
     return rows
 
 

@@ -251,6 +251,15 @@ class StartSummary:
     error: str | None = None
 
 
+def _summary(index: int, run) -> StartSummary:
+    """The StartSummary of start ``index`` from its admm_run result."""
+    if run.status == "failed":
+        return StartSummary(index, None, None, None, None, error=run.error)
+    rec = run.trace.final
+    return StartSummary(index, rec.objective, run.state.k, rec.residual,
+                        run.status == "converged", error=run.error)
+
+
 def train_multistart(
     data: Dataset,
     kernel_spec: KernelSpec,
@@ -302,31 +311,23 @@ def train_multistart(
     runs = admm_run(loss, data.y, A, cfg, inits, inverse, trace=trace or rho_check.ok)
     if rho_check.ok:
         monitor_descent(runs)
-    summaries = []
-    best = None
-    for s, run in enumerate(runs):
-        if run.status == "failed":
-            summaries.append(StartSummary(s, None, None, None, None, error=run.error))
-            continue
-        rec = run.trace.final
-        summary = StartSummary(s, rec.objective, run.state.k, rec.residual,
-                               run.status == "converged", error=run.error)
-        summaries.append(summary)
-        if run.error is None and (best is None or rec.objective < best[1].objective):
-            best = (run, summary)
-    if best is None:
+    summaries = [_summary(s, run) for s, run in enumerate(runs)]
+    eligible = [summary for summary in summaries if summary.error is None]
+    if not eligible:
         detail = "; ".join(f"start {s.index}: {s.error}" for s in summaries)
         raise TrainingError(f"all {starts} training starts failed: {detail}")
-    run, summary = best
+    # min keeps the first of equal objectives, the lowest start index.
+    best = min(eligible, key=lambda summary: summary.objective)
+    run = runs[best.index]
     if trace:
-        summary.trace = run.trace
+        best.trace = run.trace
     meta = ModelMeta(
         loss_name=loss.name,
         rho=cfg.rho,
-        converged=run.status == "converged",
-        final_residual=summary.residual,
-        objective=summary.objective,
-        start_index=summary.index,
+        converged=best.converged,
+        final_residual=best.residual,
+        objective=best.objective,
+        start_index=best.index,
     )
     model = TrainedModel(kernel_spec, cfg.lam, data.X, run.state.c, meta)
     return model, summaries

@@ -83,5 +83,5 @@ def test_loss_kernel_table_reaches_the_benchmark_sites(monkeypatch):
              "splitsvm.experiments.generate_synthetic",
              "splitsvm.experiments.gram"]
     calls = count_sites(monkeypatch, sites)
-    experiments.loss_kernel_table(0, starts=2, max_iter=3)
+    experiments.loss_kernel_table(0, starts=2)
     assert set(calls) == set(sites)
