@@ -2,11 +2,14 @@
 
 Output files are written to a temporary file in the destination directory and
 renamed into place, so a failed or interrupted write never leaves a partial
-file behind; a writer may hand over its text a chunk at a time.  Input files
+file behind; a writer may hand over its text a chunk at a time.  A command
+checks its output paths with check_output_paths before it reads any input.
+Input files
 must be UTF-8 text.  Numeric cells are converted by ``float()``, so a reader
 accepts exactly the spellings Python's ``float`` does.
 """
 
+import errno
 import os
 import tempfile
 from collections.abc import Iterable
@@ -32,19 +35,35 @@ def open_text(path: str):
             raise ParseError(f"{path}: not UTF-8 text") from None
 
 
+def check_output_paths(*paths: str) -> None:
+    """OSError naming the first path whose directory does not exist or that
+    is itself a directory; such a path could not be written."""
+    for path in paths:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        if not path or not os.path.isdir(os.path.dirname(path) or os.curdir):
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), path)
+
+
 def write_text_atomic(path: str, text: str | Iterable[str]) -> None:
-    """Write ``text``, one string or an iterable of string chunks, to ``path``."""
+    """Write ``text``, one string or an iterable of string chunks, to ``path``.
+
+    An OSError names ``path``, not the temporary file."""
     if isinstance(text, str):
         text = (text,)
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp = None
     try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
         with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(text)
         os.replace(tmp, path)
-    except BaseException:
-        with suppress(OSError):
-            os.unlink(tmp)
+    except BaseException as exc:
+        if tmp is not None:
+            with suppress(OSError):
+                os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise type(exc)(exc.errno, exc.strerror, path) from exc
         raise
 
 

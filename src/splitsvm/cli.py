@@ -7,8 +7,11 @@ Subcommands:
   evaluate    accuracy of a saved model on a labeled CSV
   reproduce   run a canned benchmark (t1 | t2 | fig3)
 
-All hyperparameters are validated before any data is read, and output files
-are written atomically, so a failing invocation leaves no partial files.
+All hyperparameters and output paths are checked before any input is read:
+each output's directory must exist and the output must not be a directory.
+Each output file is written atomically, so no file is ever left half
+written; a write that fails late (a full disk, say) can still leave the
+outputs written before it.
 Exit status is 0 exactly when the command succeeded.  Errors and warnings
 go to stderr as one line each, "error: ..." and "warning: ...".
 """
@@ -20,7 +23,7 @@ import warnings
 import numpy as np
 
 from . import experiments
-from ._io import write_text_atomic
+from ._io import check_output_paths, write_text_atomic
 from .admm import RHO_POLICIES, AdmmConfig
 from .data import (
     Dataset,
@@ -117,6 +120,7 @@ def parse_args(argv=None) -> argparse.Namespace:
 
 
 def cmd_gen_data(args: argparse.Namespace) -> int:
+    check_output_paths(args.train_path, args.test_path)
     train, test = generate_synthetic(args.n_train, args.n_test, args.seed)
     save_csv(train, args.train_path)
     save_csv(test, args.test_path)
@@ -126,10 +130,11 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    # Validates the hyperparameters before any data is read.
+    # Validates the hyperparameters and output paths before any data is read.
     cfg = AdmmConfig(lam=args.lam, rho=args.rho, eps0=args.eps0, max_iter=args.max_iter,
                      enforce_rho_condition=args.check_rho)
     spec = KernelSpec(args.kernel, args.sigma)
+    check_output_paths(args.model_path, *([args.trace_path] if args.trace_path else []))
     train = load_csv(args.train_path)
     scaling = None
     if args.standardize:
@@ -169,6 +174,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_predict(args: argparse.Namespace) -> int:
+    check_output_paths(args.output_path)
     model = load_model(args.model_path)
     feats = load_features_csv(args.data_path)
     labels = predict_labels(model, feats)
@@ -186,6 +192,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_reproduce(args: argparse.Namespace) -> int:
+    check_output_paths(args.output_path)
     if args.table == "fig3":
         run, certificate = experiments.convergence_trace(args.seed)
         write_text_atomic(args.output_path, run.trace.to_csv(extra_cumulative_step_norm=True))

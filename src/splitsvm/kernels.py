@@ -10,7 +10,7 @@ matrix of distinct points is symmetric positive definite; repeated points
 make it singular, so they are rejected.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg.lapack import dpotrf
@@ -46,6 +46,8 @@ class GramMatrix:
     """
 
     entries: np.ndarray
+    #: max |A_ij|, found by the finiteness check; model.noise_floor reads it.
+    max_abs: float = field(init=False)
 
     def __post_init__(self):
         self.entries = np.ascontiguousarray(self.entries, dtype=float)
@@ -53,8 +55,11 @@ class GramMatrix:
             raise InputError("kernel matrix must be square")
         if self.entries.size == 0:
             raise InputError("kernel matrix must be nonempty")
-        if not np.all(np.isfinite(self.entries)):
+        # max and min are NaN or infinite exactly when some entry is.
+        top, bottom = float(self.entries.max()), float(self.entries.min())
+        if not (np.isfinite(top) and np.isfinite(bottom)):
             raise InputError("kernel matrix entries must be finite")
+        self.max_abs = max(top, -bottom)
 
     @property
     def size(self) -> int:

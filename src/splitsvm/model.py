@@ -145,8 +145,7 @@ class RhoCondition:
 
 def noise_floor(A: GramMatrix) -> float:
     """size * eps * max|A|: an eigenvalue at or below it is rounding noise."""
-    m = A.entries
-    return A.size * float(np.finfo(float).eps) * max(float(m.max()), -float(m.min()))
+    return A.size * float(np.finfo(float).eps) * A.max_abs
 
 
 def leading_eigenvalue(A: GramMatrix, k: int) -> float:

@@ -969,6 +969,27 @@ def test_untraced_run_diverges_where_only_the_risk_or_residual_overflows(which, 
     assert_same_ends(traced, untraced)
 
 
+@pytest.mark.parametrize("trace", [True, False])
+def test_a_start_that_stops_at_the_cap_keeps_its_stop_status(trace, monkeypatch):
+    # A start that converges, or diverges, at iteration max_iter itself ends
+    # with that status, not "max_iter"; one iteration less is "max_iter".
+    A, y = random_instance(30, seed=2)
+    cfg = AdmmConfig(lam=0.5, rho=5.0, max_iter=5000)
+    inits = [initial_state(A, np.random.default_rng(s)) for s in range(2)]
+    k = admm_run(PL2, y, A, cfg, [inits[1]])[0].state.k
+    runs = admm_run(PL2, y, A, replace(cfg, max_iter=k), [inits[1]], trace=trace)
+    assert [(run.status, run.state.k, run.error) for run in runs] == [("converged", k, None)]
+    runs = admm_run(PL2, y, A, replace(cfg, max_iter=k - 1), [inits[1]], trace=trace)
+    assert [(run.status, run.state.k) for run in runs] == [("max_iter", k - 1)]
+    # Column 0's c^T A c overflows at iteration 3, the cap; column 1 runs on.
+    resized_at(monkeypatch, 3, lambda ac, dac: 1e308)
+    with np.errstate(over="ignore"):
+        runs = admm_run(PL2, y, A, replace(cfg, max_iter=3), inits, trace=trace)
+    assert [(run.status, run.state.k) for run in runs] == [("diverged", 3), ("max_iter", 3)]
+    assert runs[0].error.startswith("diverged at iteration 3 (objective inf, ")
+    assert [len(run.trace) for run in runs] == ([3, 3] if trace else [1, 1])
+
+
 def test_untraced_run_keeps_a_start_the_bound_cannot_clear(monkeypatch):
     # At iteration 3 start 0's lam c^T A c is 1e303: finite, but past the
     # bound that lets an untraced run skip the objective.  The start runs on

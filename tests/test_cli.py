@@ -295,6 +295,34 @@ def test_train_invalid_hyperparameter_leaves_no_file(tmp_path, capsys, data_file
     assert not model_path.exists()
 
 
+# Each command checks its output paths before it reads any input: an output
+# whose directory is missing, or that is a directory, fails the command with
+# exit status 1 and an error naming that path, and no file is written.
+@pytest.mark.parametrize("argv, named", [
+    (["gen-data", "--train", "a.csv", "--test", "nodir/b.csv"], "nodir/b.csv"),
+    (["train", "--train", "TRAIN", "--model", "m.txt", "--trace", "nodir/t.csv"],
+     "nodir/t.csv"),
+    (["train", "--train", "missing.csv", "--model", "adir"], "adir"),
+    (["predict", "--model", "missing.txt", "--data", "missing.csv", "--output", "nodir/o.csv"],
+     "nodir/o.csv"),
+    (["reproduce", "t2", "--output", "nodir/x.csv"], "nodir/x.csv"),
+], ids=["gen-data", "train-trace", "train-model-dir", "predict", "reproduce"])
+def test_an_unwritable_output_fails_before_any_input(tmp_path, capsys, data_files, monkeypatch,
+                                                     argv, named):
+    from splitsvm import experiments
+
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "adir").mkdir()
+    monkeypatch.setattr(experiments, "loss_kernel_table", None)  # never reached
+    train, _ = data_files
+    assert main([str(train) if a == "TRAIN" else a for a in argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.endswith(f": {named!r}\n")
+    assert err.count("\n") == 1
+    assert ".tmp-" not in err and "missing" not in err
+    assert os.listdir(tmp_path) == ["adir"]
+
+
 def test_train_missing_data_file(tmp_path, capsys):
     code = main(["train", "--train", str(tmp_path / "nope.csv"),
                  "--model", str(tmp_path / "m.txt")])

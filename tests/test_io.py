@@ -1,10 +1,11 @@
 import dataclasses
 import inspect
 import os
+import re
 
 import pytest
 
-from splitsvm._io import write_text_atomic
+from splitsvm._io import check_output_paths, write_text_atomic
 from splitsvm.errors import (
     DefinitenessError,
     DuplicatePointError,
@@ -36,8 +37,35 @@ def test_write_text_atomic_leaves_no_temp_files(tmp_path):
 
 
 def test_write_text_atomic_missing_directory(tmp_path):
-    with pytest.raises(OSError):
-        write_text_atomic(str(tmp_path / "no" / "dir" / "f.txt"), "x")
+    # The error names the destination, not the temporary file.
+    path = str(tmp_path / "no" / "dir" / "f.txt")
+    with pytest.raises(FileNotFoundError, match=re.escape(repr(path))):
+        write_text_atomic(path, "x")
+
+
+def test_write_text_atomic_onto_a_directory_names_it_and_cleans_up(tmp_path):
+    (tmp_path / "d").mkdir()
+    path = str(tmp_path / "d")
+    with pytest.raises(IsADirectoryError, match=re.escape(f"Is a directory: {path!r}") + "$"):
+        write_text_atomic(path, "x")
+    assert os.listdir(tmp_path) == ["d"]
+
+
+@pytest.mark.parametrize("name, error", [
+    ("no/f.txt", FileNotFoundError),
+    ("no/", FileNotFoundError),
+    ("", FileNotFoundError),
+    ("d", IsADirectoryError),
+    ("d/", IsADirectoryError),
+])
+def test_check_output_paths_names_a_path_that_cannot_be_written(tmp_path, monkeypatch,
+                                                                name, error):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "d").mkdir()
+    check_output_paths("f.txt", "d/f.txt", str(tmp_path / "f.txt"))
+    with pytest.raises(error, match=re.escape(repr(name)) + "$"):
+        check_output_paths("f.txt", name)
+    assert os.listdir(tmp_path) == ["d"]
 
 
 def test_error_hierarchy():
@@ -99,4 +127,11 @@ def test_removed_api_stays_removed():
     assert "jitter" not in inspect.signature(splitsvm.gram).parameters
     assert [f.name for f in dataclasses.fields(splitsvm.admm.AdmmRunResult)] == [
         "state", "trace", "status", "error",
+    ]
+    # The tables fix their iteration cap; only loss_kernel_table's start count is set.
+    assert list(inspect.signature(splitsvm.experiments.loss_kernel_table).parameters) == [
+        "seed", "starts",
+    ]
+    assert list(inspect.signature(splitsvm.experiments.size_scaling_table).parameters) == [
+        "seed", "sizes",
     ]

@@ -70,7 +70,7 @@ def test_gram_matrix_must_be_square():
     assert GramMatrix(np.eye(3)).size == 3
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_gram_matrix_rejects_non_finite_entries(value):
     entries = np.eye(3)
     entries[0, 1] = entries[1, 0] = value
@@ -214,6 +214,7 @@ def test_min_eigenvalue_jittered_duplicates():
 
 def test_noise_floor_reads_the_largest_magnitude():
     A = GramMatrix(np.array([[1.0, -3.0], [-3.0, 2.0]]))
+    assert A.max_abs == 3.0
     assert noise_floor(A) == 2 * np.finfo(float).eps * 3.0
 
 

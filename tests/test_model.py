@@ -3,7 +3,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from splitsvm.admm import AdmmConfig, _psd_form, admm_run, c_inverse, initial_state
+from splitsvm.admm import (
+    AdmmConfig,
+    AdmmRunResult,
+    AdmmState,
+    IterationTrace,
+    _psd_form,
+    admm_run,
+    c_inverse,
+    initial_state,
+)
 from splitsvm.data import Dataset, generate_synthetic
 from splitsvm.errors import (
     DefinitenessError,
@@ -19,6 +28,7 @@ from splitsvm.model import (
     FeatureScaling,
     rho_condition,
     ModelMeta,
+    StartSummary,
     TrainedModel,
     decision_values,
     load_model,
@@ -339,6 +349,63 @@ def test_multistart_never_selects_a_diverged_start(small_split, monkeypatch):
     cfg = AdmmConfig(lam=0.1, rho=1.0, max_iter=50, enforce_rho_condition="off")
     with pytest.raises(TrainingError, match="start 0: diverged at iteration 1"):
         train_multistart(train, KernelSpec("gaussian", 1.0), HINGE, cfg, starts=2, seed=0)
+
+
+def hand_built_run(n, status, objective=None, residual=0.0, k=7, error=None):
+    """An admm_run result with c = (k, ..., k) and, unless the start failed,
+    one record carrying ``objective`` and ``residual`` at iteration k."""
+    c = np.full(n, float(k))
+    trace = IterationTrace()
+    if status != "failed":
+        trace.append(k, 0.0, objective, residual, 0.0)
+    return AdmmRunResult(AdmmState(alpha=c, c=c, ac=c, k=k), trace, status, error)
+
+
+def train_on_runs(monkeypatch, data, runs, trace=False):
+    """train_multistart with admm_run replaced by one that returns ``runs``."""
+    import splitsvm.model as model_mod
+
+    monkeypatch.setattr(model_mod, "admm_run", lambda *args, **kwargs: runs)
+    cfg = AdmmConfig(lam=0.5, rho=5.0, enforce_rho_condition="off")
+    return train_multistart(data, KernelSpec("gaussian", 1.0), HINGE, cfg, starts=len(runs),
+                            seed=0, trace=trace)
+
+
+@pytest.mark.parametrize("trace", [False, True])
+def test_multistart_selects_the_first_lowest_error_free_start(small_split, monkeypatch, trace):
+    # Start 0 failed and start 2 diverged, below every other objective;
+    # starts 1 and 3 tie at the lowest objective left, and start 1 wins.
+    train, _ = small_split
+    n = train.n
+    runs = [
+        hand_built_run(n, "failed", k=3, error="quadratic form is negative"),
+        hand_built_run(n, "converged", 0.25, 1e-13, k=11),
+        hand_built_run(n, "diverged", -np.inf, 5.0, k=4, error="diverged at iteration 4"),
+        hand_built_run(n, "max_iter", 0.25, 1e-6, k=20),
+        hand_built_run(n, "max_iter", 0.5, 1e-7, k=20),
+    ]
+    model, summaries = train_on_runs(monkeypatch, train, runs, trace)
+    assert summaries == [
+        StartSummary(0, None, None, None, None, error="quadratic form is negative"),
+        StartSummary(1, 0.25, 11, 1e-13, True, trace=runs[1].trace if trace else None),
+        StartSummary(2, -np.inf, 4, 5.0, False, error="diverged at iteration 4"),
+        StartSummary(3, 0.25, 20, 1e-6, False),
+        StartSummary(4, 0.5, 20, 1e-7, False),
+    ]
+    assert model.meta == ModelMeta("hinge", 5.0, True, 1e-13, 0.25, start_index=1)
+    assert np.array_equal(model.coeffs, runs[1].state.c)
+
+
+def test_multistart_names_every_start_when_none_is_eligible(small_split, monkeypatch):
+    train, _ = small_split
+    runs = [hand_built_run(train.n, "failed", k=2, error="quadratic form is negative"),
+            hand_built_run(train.n, "diverged", np.nan, np.inf, k=5,
+                           error="diverged at iteration 5 (objective nan, residual inf)")]
+    with pytest.raises(TrainingError) as exc:
+        train_on_runs(monkeypatch, train, runs)
+    assert str(exc.value) == (
+        "all 2 training starts failed: start 0: quadratic form is negative; "
+        "start 1: diverged at iteration 5 (objective nan, residual inf)")
 
 
 def test_multistart_checks_rho_once(small_split, monkeypatch):
