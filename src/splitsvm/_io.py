@@ -4,9 +4,8 @@ Output files are written to a temporary file in the destination directory and
 renamed into place, so a failed or interrupted write never leaves a partial
 file behind; a writer may hand over its text a chunk at a time.  A command
 checks its output paths with check_output_paths before it reads any input.
-Input files
-must be UTF-8 text.  Numeric cells are converted by ``float()``, so a reader
-accepts exactly the spellings Python's ``float`` does.
+Input files must be UTF-8 text.  Numeric cells are converted by ``float()``,
+so a reader accepts exactly the spellings Python's ``float`` does.
 """
 
 import errno
@@ -52,19 +51,18 @@ def write_text_atomic(path: str, text: str | Iterable[str]) -> None:
     if isinstance(text, str):
         text = (text,)
     directory = os.path.dirname(os.path.abspath(path))
-    tmp = None
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(text)
-        os.replace(tmp, path)
-    except BaseException as exc:
-        if tmp is not None:
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
+                fh.writelines(text)
+            os.replace(tmp, path)
+        except BaseException:
             with suppress(OSError):
                 os.unlink(tmp)
-        if isinstance(exc, OSError):
-            raise type(exc)(exc.errno, exc.strerror, path) from exc
-        raise
+            raise
+    except OSError as exc:
+        raise type(exc)(exc.errno, exc.strerror, path) from exc
 
 
 def float_cells(rows, count, width):
