@@ -35,8 +35,8 @@ def open_text(path: str):
 
 
 def check_output_paths(*paths: str) -> None:
-    """OSError naming the first path whose directory does not exist or that
-    is itself a directory; such a path could not be written."""
+    """OSError naming the first path that is empty, whose directory does not
+    exist or that is itself a directory; such a path could not be written."""
     for path in paths:
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
